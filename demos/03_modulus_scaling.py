@@ -24,7 +24,7 @@ import polygauss as pg
 # equivalence of the two moduli on a Monte Carlo histogram
 s = pg.sample(pg.monomial(2, (1, 1)), 400_000, seed=7)
 rho = pg.histogram_density(s, 400)
-report = pg.modulus_equivalence_check(rho, pg.default_probe_grid(rho))
+report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, pg.default_probe_grid(rho)))
 print("two-sided equivalence on the product histogram:",
       "pass" if report.verdict else "FAIL",
       f"(worst margin {report.worst_margin:+.4f})")

@@ -58,6 +58,8 @@ class CfCurve:
 
 
 def default_t_grid(lo: float = 0.1, hi: float = 1e3, per_decade: int = 16) -> np.ndarray:
+    if not 0 < lo < hi:
+        raise InputError(f"t range [{lo}, {hi}] is empty")
     count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
     return np.geomspace(lo, hi, count)
 

@@ -130,6 +130,27 @@ def _build_parser() -> _Parser:
     return p
 
 
+_NUM = (int, float)
+
+# Accepted types of each config field; an object field maps its keys to theirs.
+SCHEMA = {
+    "seed": int, "samples": int, "grid": int, "workers": int, "cf_samples": int,
+    "out": str, "svg": bool, "perturbation": _NUM, "corrupt_envelope_exponent": _NUM,
+    "eps": {"lo": (*_NUM, type(None)), "hi": _NUM, "per_decade": int},
+    "t": {"lo": _NUM, "hi": _NUM, "per_decade": int},
+    "polynomial": (str, dict), "polynomial_b": (str, dict),
+    "family": {"n": int, "m": int, "d": int, "count": int},
+}
+
+
+def _fits(val, rule) -> bool:
+    if isinstance(rule, dict):
+        return isinstance(val, dict) and set(val) <= set(rule) and all(
+            _fits(v, rule[k]) for k, v in val.items()
+        )
+    return isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if args.config is not None:
@@ -145,23 +166,22 @@ def _load_config(args: argparse.Namespace) -> dict:
         unknown = set(user) - set(DEFAULTS)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        cfg.update(user)
-    for key in ("seed", "out", "samples", "grid", "workers"):
-        val = getattr(args, key, None)
-        if val is not None:
+        for key, val in user.items():
+            if isinstance(cfg[key], dict) and isinstance(val, dict):
+                val = {**cfg[key], **val}  # a partial eps or t keeps the other defaults
+            if not ((val is None and DEFAULTS[key] is None) or _fits(val, SCHEMA[key])):
+                raise InputError(f"invalid config field {key!r}: {json.dumps(val)}")
             cfg[key] = val
-    if args.svg:
-        cfg["svg"] = True
-    if args.poly is not None:
-        cfg["polynomial"] = args.poly
-    if args.poly_b is not None:
-        cfg["polynomial_b"] = args.poly_b
-    fam = dict(cfg["family"] or {})
-    for key in ("n", "m", "d", "count"):
-        val = getattr(args, key, None)
-        if val is not None:
-            fam[key] = val
-    cfg["family"] = fam or None
+    flags = {
+        "seed": args.seed, "out": args.out, "samples": args.samples, "grid": args.grid,
+        "workers": args.workers, "svg": args.svg, "polynomial": args.poly,
+        "polynomial_b": args.poly_b,
+    }
+    cfg.update({k: v for k, v in flags.items() if v is not None})
+    fam = {k: v for k in ("n", "m", "d", "count") if (v := getattr(args, k)) is not None}
+    cfg["family"] = {**(cfg["family"] or {}), **fam} or None
+    if cfg["seed"] < 0:
+        raise InputError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -242,6 +262,21 @@ def _envelope_params(f: Polynomial) -> EnvelopeParams:
     return EnvelopeParams(m=max(1, max_var_power(f)), d=max(1, degree(f)), lead=lead)
 
 
+def _modulus_reports(f: Polynomial, rho: GriddedDensity, cfg: dict, eps_cfg: dict):
+    """Probe grid, shift and dual modulus curves, and the envelope and
+    equivalence reports built from them: (omega, sigma, envelope, equivalence)."""
+    probes = default_probe_grid(
+        rho, lo=eps_cfg["lo"], hi=eps_cfg["hi"], per_decade=eps_cfg["per_decade"]
+    )
+    omega = shift_modulus_curve(rho, probes)
+    sigma = dual_modulus_curve(rho, probes)
+    env_report = envelope_check(
+        omega, _envelope_params(f), slope_range=MC_SLOPE_RANGE,
+        exponent_bias=cfg["corrupt_envelope_exponent"],
+    )
+    return omega, sigma, env_report, modulus_equivalence_check(rho, sigma)
+
+
 def _maybe_svg(run: _Run, cfg: dict, name: str, x, y, title, xlab, ylab) -> None:
     if cfg["svg"]:
         from .svg import line_chart
@@ -291,19 +326,8 @@ def cmd_modulus(cfg: dict) -> int:
     s, rho = _sample_and_histogram(f, cfg, cfg["seed"])
     save_samples(s, run.path("samples.bin"), polynomial=f)
     run.files.append("samples.bin.json")
-    eps_cfg = cfg["eps"]
-    probes = default_probe_grid(
-        rho, lo=eps_cfg.get("lo"), hi=eps_cfg["hi"],
-        per_decade=eps_cfg["per_decade"],
-    )
-    omega = shift_modulus_curve(rho, probes)
-    sigma = dual_modulus_curve(rho, probes)
+    omega, sigma, env_report, equiv_report = _modulus_reports(f, rho, cfg, cfg["eps"])
     params = _envelope_params(f)
-    env_report = envelope_check(
-        omega, params, slope_range=MC_SLOPE_RANGE,
-        exponent_bias=cfg["corrupt_envelope_exponent"],
-    )
-    equiv_report = modulus_equivalence_check(rho, probes)
     run.mark("compute")
     omega.to_csv(run.path("omega.csv"))
     sigma.to_csv(run.path("sigma.csv"))
@@ -355,8 +379,9 @@ def cmd_cf(cfg: dict) -> int:
     run.finish()
     print(f"log-exponent comparison (n={f.n}, m={params.m}, d={params.d}): "
           f"structure-aware {alpha_new:g} vs dimension-dependent {alpha_prior:g}")
+    slope = report.extras["ratio_slope"]  # None when too few probes have |a t| >= 1
     print(f"cf decay: fitted constant {report.fitted_constant:.4g}, "
-          f"ratio slope {report.extras['ratio_slope']:+.3f} "
+          f"ratio slope {'n/a' if slope is None else format(slope, '+.3f')} "
           f"-> {'pass' if report.verdict else 'FAIL'}")
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
@@ -435,8 +460,7 @@ def cmd_verify_all(cfg: dict) -> int:
     for k in range(count):
         f = random_in_class(params, int(seeds[3 * k]))
         s, rho = _sample_and_histogram(f, cfg, int(seeds[3 * k + 1]))
-        probes = default_probe_grid(rho)
-        report = modulus_equivalence_check(rho, probes)
+        _, sigma, env_report, report = _modulus_reports(f, rho, cfg, DEFAULTS["eps"])
         record("modulus-equivalence", report.verdict, report.worst_margin)
 
         med = float(np.median(s.values))
@@ -447,18 +471,12 @@ def cmd_verify_all(cfg: dict) -> int:
         report = small_set_check(ecdf(s), s.count, rho, intervals)
         record("small-set", report.verdict, report.worst_margin)
 
-        env_params = _envelope_params(f)
-        omega = shift_modulus_curve(rho, probes)
-        report = envelope_check(
-            omega, env_params, slope_range=MC_SLOPE_RANGE,
-            exponent_bias=cfg["corrupt_envelope_exponent"],
-        )
-        lo_s, hi_s = report.extras["slope_range"]
-        slope = report.extras["ratio_slope"]
-        record("modulus-envelope", report.verdict,
+        lo_s, hi_s = env_report.extras["slope_range"]
+        slope = env_report.extras["ratio_slope"]
+        record("modulus-envelope", env_report.verdict,
                min(hi_s - slope, slope - lo_s))
 
-        sigma = dual_modulus_curve(rho, probes)
+        env_params = _envelope_params(f)
         report = degree_envelope_check(variance(f), sigma, env_params.d)
         record("degree-envelope", report.verdict,
                report.extras["slope"] - report.extras["slope_floor"])

@@ -67,7 +67,11 @@ def sample(
         size = min(SAMPLE_CHUNK, n_samples - lo)
         gen = np.random.Generator(np.random.Philox(children[i]))
         z = gen.standard_normal((size, f.n))
-        return evaluate_batch(f, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate_batch(f, z)
+        if not np.isfinite(values).all():
+            raise InputError("polynomial values overflow a float at some samples")
+        return values
 
     if workers <= 1 or n_chunks == 1:
         parts = [draw(i) for i in range(n_chunks)]

@@ -211,10 +211,18 @@ def max_shift_index(rho: GriddedDensity, eps: float) -> int:
     return k
 
 
+def _shift_moduli(rho: GriddedDensity, ks) -> np.ndarray:
+    """step * max_{1 <= j <= k} _shift_l1(j) for each k in ``ks``, read off one
+    running-max table.  Every shift past the grid gives the same L1 sum, so
+    the table stops at the grid size."""
+    ks = [min(k, rho.size) for k in ks]
+    l1 = [0.0] + [_shift_l1(rho.values, j) for j in range(1, max(ks, default=0) + 1)]
+    return rho.step * np.maximum.accumulate(l1)[ks]
+
+
 def shift_modulus(rho: GriddedDensity, eps: float) -> float:
     """max over integer shifts k <= eps/step of step * sum |rho(.+k) - rho|."""
-    k_max = max_shift_index(rho, eps)
-    return rho.step * max(_shift_l1(rho.values, k) for k in range(1, k_max + 1))
+    return float(_shift_moduli(rho, [max_shift_index(rho, eps)])[0])
 
 
 def shift_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
@@ -225,16 +233,8 @@ def shift_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
     collapse to one entry.
     """
     ks = sorted({max_shift_index(rho, e) for e in eps_values})
-    running = 0.0
-    eps_out, vals = [], []
-    prev_k = 0
-    for k in ks:
-        for j in range(prev_k + 1, k + 1):
-            running = max(running, _shift_l1(rho.values, j))
-        prev_k = k
-        eps_out.append(k * rho.step)
-        vals.append(rho.step * running)
-    return ModulusCurve("shift", np.array(eps_out), np.array(vals))
+    eps_out = np.array([k * rho.step for k in ks])
+    return ModulusCurve("shift", eps_out, _shift_moduli(rho, ks))
 
 
 # --- Dual modulus ------------------------------------------------------------
@@ -277,33 +277,40 @@ def default_probe_grid(
     hi: float = 1.0,
     per_decade: int = 12,
 ) -> np.ndarray:
-    """Geometric probe grid over [max(2*step, 1e-3), hi]."""
-    floor = max(2.0 * rho.step, 1e-3) if lo is None else lo
-    if floor >= hi:
-        raise InputError(f"probe range [{floor}, {hi}] is empty")
-    count = max(2, int(math.ceil(per_decade * math.log10(hi / floor))) + 1)
-    return np.geomspace(floor, hi, count)
+    """Geometric probe grid over [lo, hi], lo defaulting to max(2*step, 1e-3);
+    a default lo at or above hi means the grid is too coarse to probe."""
+    if lo is None:
+        lo = max(2.0 * rho.step, 1e-3)
+        if lo >= hi:
+            raise EpsilonBelowResolution(
+                f"resolution floor {lo} leaves no probe below {hi}"
+            )
+    elif not 0 < lo < hi:
+        raise InputError(f"probe range [{lo}, {hi}] is empty")
+    count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+    return np.geomspace(lo, hi, count)
 
 
 # --- Equivalence of the two moduli (factors 1/2 and 6) ------------------------
 
 
-def modulus_equivalence_check(rho: GriddedDensity, eps_values) -> BoundReport:
+def modulus_equivalence_check(rho: GriddedDensity, sigma: ModulusCurve) -> BoundReport:
     """Verify omega(rho, 2 eps)/2 <= sigma(rho, eps) <= 6 omega(rho, eps)
-    at every probe, within the density's error budget."""
+    at every probe of the dual-modulus curve ``sigma`` of ``rho``, within the
+    density's error budget."""
     base = density_budget(rho)
-    w = _telescoped_weights(rho.values)
+    ks = [max_shift_index(rho, c * e) for c in (1.0, 2.0) for e in sigma.eps]
+    omegas_eps, omegas_2eps = _shift_moduli(rho, ks).reshape(2, -1)
     rows: list[ProbeRow] = []
-    for eps in np.asarray(list(eps_values), dtype=np.float64):
-        sigma = solve_chain_lp(w, eps, rho.step)
-        omega_2eps = shift_modulus(rho, 2.0 * eps)
-        omega_eps = shift_modulus(rho, eps)
+    for eps, sig, omega_eps, omega_2eps in zip(
+        sigma.eps, sigma.values, omegas_eps, omegas_2eps
+    ):
         corr = boundary_correction(rho, eps)
         rows.append(
-            ProbeRow(float(eps), 0.5 * omega_2eps, sigma, 2.0 * base + corr)
+            ProbeRow(float(eps), 0.5 * omega_2eps, sig, 2.0 * base + corr)
         )
         rows.append(
-            ProbeRow(float(eps), sigma, 6.0 * omega_eps, 13.0 * base + corr)
+            ProbeRow(float(eps), sig, 6.0 * omega_eps, 13.0 * base + corr)
         )
     return BoundReport.from_rows(
         "modulus-equivalence", rows, extras={"budget_base": base}

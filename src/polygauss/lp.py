@@ -17,7 +17,7 @@ dilation: the increasing part shifts left, the decreasing part shifts right,
 and a plateau of width 2*slope_step opens at the maximizer.  Dilation,
 clipping to the box, and adding a linear term all preserve concavity and add
 at most O(1) breakpoints per step, so a G-cell solve is O(G^2) worst case
-with tiny constants (milliseconds at G = 2048).
+with small constants (one solve at G = 2048 takes tens of milliseconds).
 
 ``brute_force_chain_lp`` is an independent test oracle: it exhaustively
 enumerates the vertices of the feasible polytope.  A vertex is determined by

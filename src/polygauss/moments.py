@@ -37,7 +37,10 @@ def gaussian_moment(k: int) -> float:
         raise InputError(f"moment order must be >= 0, got {k}")
     if k % 2 == 1:
         return 0.0
-    return float(math.prod(range(k - 1, 0, -2)))
+    try:
+        return float(math.prod(range(k - 1, 0, -2)))
+    except OverflowError:
+        raise InputError(f"E[X^{k}] overflows a float") from None
 
 
 def expectation(f: Polynomial) -> float:

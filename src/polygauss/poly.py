@@ -334,7 +334,7 @@ def from_json_dict(data: Mapping) -> Polynomial:
         n = int(data["n"])
         raw = data["terms"]
         terms = {tuple(int(e) for e in t["exp"]): float(t["coef"]) for t in raw}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed polynomial object: {exc}") from exc
     try:
         return Polynomial(n, terms)

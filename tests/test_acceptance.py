@@ -124,7 +124,7 @@ def test_criterion_5_equivalence_suite(normal_oracle, chisq_oracle, product_orac
     failures = []
     worst = math.inf
     for name, rho in densities:
-        rep = pg.modulus_equivalence_check(rho, pg.default_probe_grid(rho))
+        rep = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, pg.default_probe_grid(rho)))
         worst = min(worst, rep.worst_margin + max(r.budget for r in rep.rows))
         if not rep.verdict:
             failures.append(name)

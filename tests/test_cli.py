@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygauss.cli import main
 from polygauss.poly import dumps, monomial
@@ -195,3 +200,132 @@ def test_svg_emission(tmp_path):
                 "--out", str(out)]) == 0
     svg = (out / "omega.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_verify_all_grid_too_coarse_exits_4(tmp_path, capsys):
+    # seed 2 draws a member with coefficients near 120: its histogram step
+    # exceeds 1/2, so the default probe range [2 * step, 1] holds no probe
+    assert run(["verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", "1",
+                "--seed", "2", "--samples", "200000",
+                "--out", str(tmp_path / "x")]) == 4
+    assert "no probe" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    {"samples": "abc"},
+    {"grid": "x"},
+    {"samples": True},
+    {"seed": -1},
+    {"family": {"n": "a", "m": 1, "d": 2}},
+    {"family": {"n": 2, "m": 1, "d": 2, "size": 3}},
+    {"eps": {"hi": 1.0, "step": 0.1}},
+    {"t": None},
+])
+def test_bad_config_field_exits_3(tmp_path, capsys, override):
+    cfg = small_family_cfg(tmp_path, "bad", **override)
+    assert run(["verify-all", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(override)) in err
+
+
+def test_partial_nested_config_keeps_defaults(tmp_path):
+    cfg = {"polynomial": json.loads(X1SQ), "samples": 200_000, "grid": 128,
+           "eps": {"hi": 0.5}, "t": {"hi": 100.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["modulus", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+    eps = [float(line.split(",")[0])
+           for line in (tmp_path / "m" / "omega.csv").read_text().splitlines()[1:]]
+    assert max(eps) <= 0.5
+    assert run(["cf", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    t = [float(line.split(",")[0])
+         for line in (tmp_path / "c" / "cf_curve.csv").read_text().splitlines()[1:]]
+    assert (min(t), max(t)) == (0.1, 100.0)
+
+
+def test_overflow_is_an_input_error(tmp_path, capsys):
+    huge = '{"n": 1, "terms": [{"exp": [200], "coef": 1e300}]}'
+    for cmd in ("modulus", "cf"):
+        assert run([cmd, "--poly", huge, "--samples", "20000", "--grid", "128",
+                    "--out", str(tmp_path / cmd)]) == 3
+        assert "overflow" in capsys.readouterr().err
+    x400 = '{"n": 1, "terms": [{"exp": [400], "coef": 1.0}]}'
+    assert run(["variance", "--poly", x400, "--out", str(tmp_path / "v")]) == 3
+    assert "overflows" in capsys.readouterr().err
+    big_coef = '{"n": 1, "terms": [{"exp": [1], "coef": 1' + "0" * 400 + '}]}'
+    assert run(["variance", "--poly", big_coef, "--out", str(tmp_path / "v")]) == 3
+    assert "malformed polynomial" in capsys.readouterr().err
+
+
+def test_cf_without_ratio_trend(tmp_path, capsys):
+    # leading magnitude 1e-3 leaves no probe with |a t| >= 1, so no trend is fitted
+    poly = '{"n": 1, "terms": [{"exp": [1], "coef": 0.001}]}'
+    assert run(["cf", "--poly", poly, "--samples", "20000",
+                "--out", str(tmp_path / "cf")]) == 0
+    assert "ratio slope n/a" in capsys.readouterr().out
+
+
+# Values of the wrong type for any config field.
+WRONG = st.sampled_from(["abc", True, None, 1.5, [], {}, -1])
+
+
+def _term(n):
+    return st.fixed_dictionaries({
+        "exp": st.lists(st.one_of(st.integers(0, 3), st.integers(0, 300)),
+                        min_size=n, max_size=n),
+        "coef": st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e200, -1e300, 1e-300])),
+    })
+
+
+POLYS = st.integers(1, 2).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "terms": st.lists(_term(n), max_size=3)}
+))
+# Partial nested dicts, sometimes with an unknown key.
+EPS = st.fixed_dictionaries({}, optional={
+    "lo": st.one_of(st.none(), st.floats(-0.1, 0.5)),
+    "hi": st.floats(-0.1, 2.0),
+    "per_decade": st.integers(-1, 6),
+    "width": st.just(1),
+})
+T = st.fixed_dictionaries({}, optional={
+    "lo": st.floats(-1.0, 10.0),
+    "hi": st.floats(-1.0, 300.0),
+    "per_decade": st.integers(-1, 8),
+    "width": st.just(1),
+})
+# Right-typed fields, values in and out of range (EPS and T may add an unknown key).
+BASE = st.fixed_dictionaries(
+    {"polynomial": st.one_of(st.just(json.loads(X1X2)), POLYS),
+     "samples": st.sampled_from([12_000, 20_000]),
+     "grid": st.sampled_from([16, 64])},
+    optional={
+        "seed": st.integers(-2, 50),
+        "workers": st.integers(1, 2),
+        "eps": EPS,
+        "t": T,
+    },
+)
+# A base config with up to two fields (or an unknown one) of the wrong type.
+CONFIGS = st.builds(
+    lambda cfg, bad: {**cfg, **dict(bad)},
+    BASE,
+    st.lists(st.tuples(st.sampled_from(
+        ["polynomial", "samples", "seed", "grid", "svg", "eps", "t", "family", "bogus"]
+    ), WRONG), max_size=2),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["variance", "modulus", "cf"]), cfg=CONFIGS)
+def test_any_config_runs_or_exits_with_one_line_error(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4)
+    if code in (3, 4):
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -49,6 +49,12 @@ def test_histogram_oracle_agreement(x1_samples):
     assert h.step * np.abs(h.values - o.values).sum() <= 0.02
 
 
+def test_sample_rejects_overflowing_values():
+    f = Polynomial(1, {(200,): 1e300})  # overflows wherever |x| > 1.1
+    with pytest.raises(InputError, match="overflow"):
+        pg.sample(f, 1000, seed=1)
+
+
 def test_histogram_rejects_constant():
     s = pg.sample(constant(1, 2.0), 50_000, seed=1)
     with pytest.raises(DegenerateRange):

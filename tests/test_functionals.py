@@ -45,6 +45,16 @@ def test_shift_modulus_resolution_guard(normal_oracle):
         pg.shift_modulus(normal_oracle, normal_oracle.step * 1.5)
 
 
+def test_probe_grid_range_errors():
+    wide = pg.oracle_density("normal", -5.0, 5.0, 16)  # step 0.625 > 1/2
+    with pytest.raises(EpsilonBelowResolution):
+        pg.default_probe_grid(wide)
+    with pytest.raises(InputError):
+        pg.default_probe_grid(wide, lo=1.0, hi=1.0)
+    with pytest.raises(InputError):
+        pg.default_probe_grid(wide, lo=-0.1, hi=1.0)
+
+
 def test_shift_curve_snaps_to_realized_shifts(normal_oracle):
     curve = pg.shift_modulus_curve(normal_oracle, [0.05, 0.0501, 0.1])
     ks = np.round(curve.eps / normal_oracle.step)
@@ -128,21 +138,21 @@ def test_scaling_identity_chisq(chisq_oracle):
 def test_equivalence_oracles(normal_oracle, chisq_oracle, product_oracle):
     for rho in (normal_oracle, chisq_oracle, product_oracle):
         probes = pg.default_probe_grid(rho)
-        report = pg.modulus_equivalence_check(rho, probes)
+        report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
         assert report.verdict
         assert all(r.margin >= -r.budget for r in report.rows)
 
 
 def test_equivalence_monte_carlo(x1x2_samples):
     h = pg.histogram_density(x1x2_samples, 400)
-    report = pg.modulus_equivalence_check(h, pg.default_probe_grid(h))
+    report = pg.modulus_equivalence_check(h, pg.dual_modulus_curve(h, pg.default_probe_grid(h)))
     assert report.verdict
 
 
 def test_equivalence_near_dirac_flags_budget():
     rho = pg.oracle_density("normal", -0.01, 0.01, 256, sigma=0.001)
     probes = pg.default_probe_grid(rho, hi=0.005)
-    report = pg.modulus_equivalence_check(rho, probes)
+    report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
     assert report.verdict
     assert report.extras["budget_base"] > 0.01  # large budget is surfaced
 
@@ -345,7 +355,8 @@ def test_curve_validation():
 
 
 def test_report_json_shape(normal_oracle, tmp_path):
-    report = pg.modulus_equivalence_check(normal_oracle, [0.05, 0.1])
+    sigma = pg.dual_modulus_curve(normal_oracle, [0.05, 0.1])
+    report = pg.modulus_equivalence_check(normal_oracle, sigma)
     data = report.to_json_dict()
     assert set(data) == {"id", "probes", "fitted_constant", "verdict", "extras"}
     assert all(set(p) == {"eps", "lhs", "rhs", "budget"} for p in data["probes"])

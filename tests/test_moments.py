@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polygauss as pg
-from polygauss.errors import DegreeExceedsCap
+from polygauss.errors import DegreeExceedsCap, InputError
 from polygauss.moments import (
     _derivative_energy_matrix,
     evaluate_expansion,
@@ -25,6 +25,8 @@ def test_gaussian_moment():
     assert gaussian_moment(4) == 3.0
     assert gaussian_moment(6) == 15.0
     assert gaussian_moment(7) == 0.0
+    with pytest.raises(InputError):  # 799!! exceeds the float range
+        gaussian_moment(800)
 
 
 def test_expectation_examples():
