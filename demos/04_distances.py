@@ -25,10 +25,8 @@ for i, delta in enumerate((0.02, 0.05, 0.1, 0.2)):
     g = pg.Polynomial(2, {(1, 1): 1.0, (1, 0): delta})
     sg = pg.sample(g, N, seed=200 + i)
     both = np.concatenate([sf.values, sg.values])
-    q_lo, q_hi = np.quantile(both, [1e-4, 1 - 1e-4])
-    pad = 2 * (q_hi - q_lo) / 396
-    hf = pg.histogram_density(sf, 400, lo=q_lo - pad, hi=q_hi + pad)
-    hg = pg.histogram_density(sg, 400, lo=q_lo - pad, hi=q_hi + pad)
+    hf = pg.histogram_density(sf, 400, span=both)
+    hg = pg.histogram_density(sg, 400, span=both)
     rep = pg.tv_vs_kr_check(hf, hg, np.geomspace(0.05, 0.9, 8))
     tv, kr = rep.extras["tv"], rep.extras["kr"]
     eps_star = pg.balancing_epsilon(kr, 1, 2)

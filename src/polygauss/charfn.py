@@ -21,7 +21,9 @@ import numpy as np
 
 from .density import SampleSet
 from .errors import InputError, InsufficientDecay
-from .functionals import BoundReport, EnvelopeParams, ProbeRow, _log_bracket, _ols_slope
+from .functionals import (
+    BoundReport, EnvelopeParams, ProbeRow, geometric_grid, log_bracket, ols_slope,
+)
 
 ECF_CHUNK = 1 << 18
 
@@ -60,8 +62,7 @@ class CfCurve:
 def default_t_grid(lo: float = 0.1, hi: float = 1e3, per_decade: int = 16) -> np.ndarray:
     if not 0 < lo < hi:
         raise InputError(f"t range [{lo}, {hi}] is empty")
-    count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
-    return np.geomspace(lo, hi, count)
+    return geometric_grid(lo, hi, per_decade)
 
 
 def ecf_modulus(s: SampleSet, ts) -> CfCurve:
@@ -94,7 +95,7 @@ def cf_envelope(p: EnvelopeParams, t: float) -> float:
     if t <= 0:
         raise InputError(f"t must be positive, got {t}")
     u = p.lead * t
-    return u ** (-1.0 / p.m) * _log_bracket(u, p.d - p.m)
+    return u ** (-1.0 / p.m) * log_bracket(u, p.d - p.m)
 
 
 def cf_decay_check(
@@ -128,7 +129,7 @@ def cf_decay_check(
     c_hat = float(ratios[valid].max())
     fit = valid & (p.lead * curve.t >= 1.0)
     if fit.sum() >= min_fit_points:
-        slope = _ols_slope(np.log(curve.t[fit]), np.log(ratios[fit]))
+        slope = ols_slope(np.log(curve.t[fit]), np.log(ratios[fit]))
         ok = math.isfinite(c_hat) and slope <= slope_tol
     else:
         slope = None

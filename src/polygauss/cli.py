@@ -251,10 +251,10 @@ class _Run:
 
 
 def _sample_and_histogram(
-    f: Polynomial, cfg: dict, seed: int, lo=None, hi=None
+    f: Polynomial, cfg: dict, seed: int
 ) -> tuple[SampleSet, GriddedDensity]:
     s = sample(f, cfg["samples"], seed, workers=cfg["workers"])
-    return s, histogram_density(s, cfg["grid"], lo=lo, hi=hi)
+    return s, histogram_density(s, cfg["grid"])
 
 
 def _envelope_params(f: Polynomial) -> EnvelopeParams:
@@ -262,12 +262,10 @@ def _envelope_params(f: Polynomial) -> EnvelopeParams:
     return EnvelopeParams(m=max(1, max_var_power(f)), d=max(1, degree(f)), lead=lead)
 
 
-def _modulus_reports(f: Polynomial, rho: GriddedDensity, cfg: dict, eps_cfg: dict):
+def _modulus_reports(f: Polynomial, rho: GriddedDensity, cfg: dict):
     """Probe grid, shift and dual modulus curves, and the envelope and
     equivalence reports built from them: (omega, sigma, envelope, equivalence)."""
-    probes = default_probe_grid(
-        rho, lo=eps_cfg["lo"], hi=eps_cfg["hi"], per_decade=eps_cfg["per_decade"]
-    )
+    probes = default_probe_grid(rho, **cfg["eps"])
     omega = shift_modulus_curve(rho, probes)
     sigma = dual_modulus_curve(rho, probes)
     env_report = envelope_check(
@@ -326,7 +324,7 @@ def cmd_modulus(cfg: dict) -> int:
     s, rho = _sample_and_histogram(f, cfg, cfg["seed"])
     save_samples(s, run.path("samples.bin"), polynomial=f)
     run.files.append("samples.bin.json")
-    omega, sigma, env_report, equiv_report = _modulus_reports(f, rho, cfg, cfg["eps"])
+    omega, sigma, env_report, equiv_report = _modulus_reports(f, rho, cfg)
     params = _envelope_params(f)
     run.mark("compute")
     omega.to_csv(run.path("omega.csv"))
@@ -359,8 +357,7 @@ def cmd_cf(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
     s = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    t_cfg = cfg["t"]
-    curve = ecf_modulus(s, default_t_grid(t_cfg["lo"], t_cfg["hi"], t_cfg["per_decade"]))
+    curve = ecf_modulus(s, default_t_grid(**cfg["t"]))
     params = _envelope_params(f)
     report = cf_decay_check(curve, params)
     alpha_new, alpha_prior = decay_exponents(params, f.n)
@@ -387,17 +384,14 @@ def cmd_cf(cfg: dict) -> int:
 
 
 def _distance_reports(
-    f: Polynomial, g: Polynomial, cfg: dict, seed_f: int, seed_g: int
+    f: Polynomial, sf: SampleSet, g: Polynomial, cfg: dict, seed_g: int
 ) -> dict:
-    sf = sample(f, cfg["samples"], seed_f, workers=cfg["workers"])
+    """Distances between f (samples ``sf``) and g (drawn here with ``seed_g``),
+    both histogrammed on the quantile grid of their pooled samples."""
     sg = sample(g, cfg["samples"], seed_g, workers=cfg["workers"])
     both = np.concatenate([sf.values, sg.values])
-    q_lo, q_hi = np.quantile(both, [1e-4, 1.0 - 1e-4])
-    if q_hi <= q_lo:
-        raise DegenerateRange("both sample sets are (nearly) constant")
-    pad = 2.0 * (q_hi - q_lo) / (cfg["grid"] - 4)
-    rho_f = histogram_density(sf, cfg["grid"], lo=q_lo - pad, hi=q_hi + pad)
-    rho_g = histogram_density(sg, cfg["grid"], lo=q_lo - pad, hi=q_hi + pad)
+    rho_f = histogram_density(sf, cfg["grid"], span=both)
+    rho_g = histogram_density(sg, cfg["grid"], span=both)
     report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
     tv = report.extras["tv"]
     kr = report.extras["kr"]
@@ -423,7 +417,8 @@ def cmd_distance(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     g = _resolve_polynomial(cfg["polynomial_b"], what="polynomial_b")
     run = _Run(cfg)
-    payload = _distance_reports(f, g, cfg, cfg["seed"], cfg["seed"] + 1)
+    sf = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    payload = _distance_reports(f, sf, g, cfg, cfg["seed"] + 1)
     run.mark("compute")
     run.write_json("distance_report.json", payload)
     run.finish()
@@ -460,7 +455,7 @@ def cmd_verify_all(cfg: dict) -> int:
     for k in range(count):
         f = random_in_class(params, int(seeds[3 * k]))
         s, rho = _sample_and_histogram(f, cfg, int(seeds[3 * k + 1]))
-        _, sigma, env_report, report = _modulus_reports(f, rho, cfg, DEFAULTS["eps"])
+        _, sigma, env_report, report = _modulus_reports(f, rho, cfg)
         record("modulus-equivalence", report.verdict, report.worst_margin)
 
         med = float(np.median(s.values))
@@ -489,7 +484,7 @@ def cmd_verify_all(cfg: dict) -> int:
                math.inf if slope is None else report.extras["slope_tol"] - slope)
 
         g = add(f, scale(variable(params.n, 1), cfg["perturbation"]))
-        dist = _distance_reports(f, g, cfg, int(seeds[3 * k + 2]), int(seeds[3 * k]) ^ 1)
+        dist = _distance_reports(f, s, g, cfg, int(seeds[3 * k + 2]))
         worst = min(
             r["rhs"] - r["lhs"] for r in dist["two_term_bound"]["probes"]
         ) if dist["two_term_bound"]["probes"] else math.inf

@@ -155,30 +155,22 @@ def _histogram(values: np.ndarray, lo: float, step: float, size: int) -> np.ndar
 
 
 def histogram_density(
-    s: SampleSet,
-    size: int = 400,
-    lo: float | None = None,
-    hi: float | None = None,
+    s: SampleSet, size: int = 400, span: np.ndarray | None = None
 ) -> GriddedDensity:
     """Histogram estimate on ``size`` cells.
 
-    The default range spans the [1e-4, 1 - 1e-4] sample quantiles padded by
-    two cells; mass falling outside is reported as ``clipped_mass``.  An
-    explicit (lo, hi) overrides the quantile policy (used to put two sample
-    sets on a common grid).  The L1 noise estimate comes from histogramming
-    the two halves of the sample separately.
+    The grid spans the [1e-4, 1 - 1e-4] quantiles of ``span`` (default: the
+    sample itself) padded by two cells; mass falling outside is reported as
+    ``clipped_mass``.  Passing the pooled values of several sample sets as
+    ``span`` puts each of them on the same grid.  The L1 noise estimate comes
+    from histogramming the two halves of the sample separately.
     """
     if size < 16:
         raise InputError(f"need at least 16 cells, got {size}")
     if s.count < 10 * size:
         raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
     vals = s.values
-    if lo is None or hi is None:
-        glo, step = _quantile_grid(vals, size)
-    else:
-        if not hi > lo:
-            raise InputError(f"empty range [{lo}, {hi}]")
-        glo, step = float(lo), (float(hi) - float(lo)) / size
+    glo, step = _quantile_grid(vals if span is None else span, size)
     counts = _histogram(vals, glo, step, size)
     n = s.count
     clipped = 1.0 - counts.sum() / n

@@ -54,7 +54,7 @@ from .errors import (
 from .lp import solve_chain_lp
 
 
-def _log_bracket(u: float, exponent: float) -> float:
+def log_bracket(u: float, exponent: float) -> float:
     """The envelope bracket |ln u|^e + 1, with the whole log term dropping
     out when its exponent is zero (so the d = m envelope is a clean power)."""
     if exponent == 0:
@@ -249,6 +249,12 @@ def _telescoped_weights(values: np.ndarray) -> np.ndarray:
     return w
 
 
+def _dual_box(rho: GriddedDensity, eps: float) -> float:
+    """The LP box for sigma(eps): the objective reads only differences of phi,
+    whose span, at most (size - 1) * step, fits in any box of half that width."""
+    return min(eps, 0.5 * (rho.size - 1) * rho.step)
+
+
 def dual_modulus(rho: GriddedDensity, eps: float) -> float:
     """Exact value of the grid LP
 
@@ -259,7 +265,7 @@ def dual_modulus(rho: GriddedDensity, eps: float) -> float:
         raise InputError(f"eps must be >= 0, got {eps}")
     if eps == 0.0:
         return 0.0
-    return solve_chain_lp(_telescoped_weights(rho.values), eps, rho.step)
+    return solve_chain_lp(_telescoped_weights(rho.values), _dual_box(rho, eps), rho.step)
 
 
 def dual_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
@@ -267,7 +273,7 @@ def dual_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
     if np.any(eps_sorted <= 0):
         raise InputError("dual modulus probes must be positive")
     w = _telescoped_weights(rho.values)
-    vals = np.array([solve_chain_lp(w, e, rho.step) for e in eps_sorted])
+    vals = np.array([solve_chain_lp(w, _dual_box(rho, e), rho.step) for e in eps_sorted])
     return ModulusCurve("dual", eps_sorted, np.maximum.accumulate(vals))
 
 
@@ -287,6 +293,11 @@ def default_probe_grid(
             )
     elif not 0 < lo < hi:
         raise InputError(f"probe range [{lo}, {hi}] is empty")
+    return geometric_grid(lo, hi, per_decade)
+
+
+def geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    """Geometric grid over [lo, hi], 0 < lo < hi: per_decade points a decade, at least 2."""
     count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
     return np.geomspace(lo, hi, count)
 
@@ -361,10 +372,10 @@ def modulus_envelope(p: EnvelopeParams, eps: float, exponent_bias: float = 0.0) 
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     u = eps / p.lead
-    return u ** (1.0 / p.m + exponent_bias) * _log_bracket(u, p.d - p.m)
+    return u ** (1.0 / p.m + exponent_bias) * log_bracket(u, p.d - p.m)
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
+def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -409,13 +420,13 @@ def fit_envelope(
     env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
     ratios = vals / env
     log_eps = np.log(eps)
-    log_factor = np.array([_log_bracket(e / p.lead, p.d - p.m) for e in eps])
+    log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
     return EnvelopeFit(
         c_hat=float(ratios.max()),
         ratios=ratios,
-        ratio_slope=_ols_slope(log_eps, np.log(ratios)),
-        slope_loglog=_ols_slope(log_eps, np.log(vals)),
-        slope_adjusted=_ols_slope(log_eps, np.log(vals / log_factor)),
+        ratio_slope=ols_slope(log_eps, np.log(ratios)),
+        slope_loglog=ols_slope(log_eps, np.log(vals)),
+        slope_adjusted=ols_slope(log_eps, np.log(vals / log_factor)),
     )
 
 
@@ -475,7 +486,7 @@ def degree_envelope_check(
     eps, vals = curve.eps[keep], curve.values[keep]
     env = var ** (-0.5 / d) * eps ** (1.0 / d)
     c_hat = float((vals / env).max())
-    slope = _ols_slope(np.log(eps), np.log(vals))
+    slope = ols_slope(np.log(eps), np.log(vals))
     ok = slope >= 1.0 / d - 0.1
     rows = [
         ProbeRow(float(e), float(v), c_hat * var ** (-0.5 / d) * e ** (1.0 / d), 1e-12)
@@ -570,5 +581,5 @@ def tv_kr_rate_ratio(tv: float, kr: float, m: int, d: int) -> float:
     if kr <= 0:
         raise NonpositiveDistance(f"distance must be positive, got {kr}")
     expo = (d - m) * m / (m + 1.0)
-    rate = kr ** (1.0 / (m + 1.0)) * _log_bracket(kr, expo)
+    rate = kr ** (1.0 / (m + 1.0)) * log_bracket(kr, expo)
     return tv / rate

@@ -180,25 +180,24 @@ def evaluate(f: Polynomial, x: Sequence[float]) -> float:
 def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
     """Evaluate f at each row of an (N, n) array.
 
-    Per-variable powers are cached up to the maximum needed exponent, so the
-    cost is O(num_terms * n * N) multiplies.
+    Each variable's powers come from one running product, of which only the
+    exponents some term uses are kept, so memory does not grow with the
+    degree; the cost is O(num_terms * n * N) multiplies.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != f.n:
         raise DimensionMismatch(f"batch shape {x.shape} incompatible with n={f.n}")
     if f.is_zero:
         return np.zeros(x.shape[0])
-    max_pow = [0] * f.n
-    for exps in f.terms:
-        for i, e in enumerate(exps):
-            max_pow[i] = max(max_pow[i], e)
-    pows: list[list[np.ndarray | None]] = []
+    pows: list[dict[int, np.ndarray]] = []
     for i in range(f.n):
-        col: list[np.ndarray | None] = [None] * (max_pow[i] + 1)
-        if max_pow[i] >= 1:
-            col[1] = x[:, i]
-            for e in range(2, max_pow[i] + 1):
-                col[e] = col[e - 1] * x[:, i]
+        wanted = {exps[i] for exps in f.terms}
+        col, power = {}, x[:, i]
+        for e in range(1, max(wanted) + 1):
+            if e > 1:
+                power = power * x[:, i]
+            if e in wanted:
+                col[e] = power
         pows.append(col)
     out = np.zeros(x.shape[0])
     for exps, coef in f.terms.items():

@@ -173,10 +173,8 @@ def test_criterion_7_distance_comparison(x1x2_samples):
         g = Polynomial(2, {(1, 1): 1.0, (1, 0): delta})
         sg = pg.sample(g, n, seed=70_000 + i)
         both = np.concatenate([x1x2_samples.values, sg.values])
-        q_lo, q_hi = np.quantile(both, [1e-4, 1 - 1e-4])
-        pad = 2 * (q_hi - q_lo) / 396
-        hf = pg.histogram_density(x1x2_samples, 400, lo=q_lo - pad, hi=q_hi + pad)
-        hg = pg.histogram_density(sg, 400, lo=q_lo - pad, hi=q_hi + pad)
+        hf = pg.histogram_density(x1x2_samples, 400, span=both)
+        hg = pg.histogram_density(sg, 400, span=both)
         rep = pg.tv_vs_kr_check(hf, hg, np.geomspace(0.05, 0.9, 8))
         all_pass &= rep.verdict
         ratios.append(pg.tv_kr_rate_ratio(rep.extras["tv"], rep.extras["kr"], 1, 2))

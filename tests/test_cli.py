@@ -88,6 +88,21 @@ def test_modulus_rejects_below_resolution(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(["modulus", "--config", str(path)]) == 4
+    # verify-all probes from the config's eps too, not from the defaults
+    family = small_family_cfg(tmp_path, "va", eps=cfg["eps"])
+    assert run(["verify-all", "--config", str(family)]) == 4
+
+
+def test_modulus_probes_past_the_grid_span(tmp_path, capsys):
+    # step ~2.5e-229: every probe's box holds the whole grid, where sigma is flat
+    poly = '{"n": 1, "terms": [{"exp": [34], "coef": 1.46e-246}]}'
+    out = tmp_path / "m"
+    code = run(["modulus", "--poly", poly, "--samples", "12000", "--out", str(out)])
+    assert "modulus values must lie in [0, 2]" not in capsys.readouterr().err
+    assert code == 0
+    sigma = [float(line.split(",")[1])
+             for line in (out / "sigma.csv").read_text().splitlines()[1:]]
+    assert max(sigma) <= 1.0
 
 
 def test_cf_command(tmp_path, capsys):
@@ -146,6 +161,23 @@ def test_verify_all_small_family(tmp_path):
     assert summary["verdict"] is True
     assert len(summary["checks"]) == 6
     assert all(v["passed"] == v["total"] == 2 for v in summary["checks"].values())
+
+
+def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
+    import polygauss.cli as cli
+
+    drawn, real_sample = [], cli.sample
+
+    def counting_sample(f, n_samples, seed, workers=1):
+        drawn.append(f)
+        return real_sample(f, n_samples, seed, workers=workers)
+
+    monkeypatch.setattr(cli, "sample", counting_sample)
+    cfg = small_family_cfg(tmp_path, "va")
+    assert run(["verify-all", "--config", str(cfg)]) == 0
+    # per member: f once (shared by every check) and its perturbation g once
+    assert len(drawn) == 2 * 2
+    assert drawn[0] != drawn[1] and drawn[2] != drawn[3]
 
 
 def test_verify_all_deterministic(tmp_path):

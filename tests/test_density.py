@@ -69,6 +69,19 @@ def test_histogram_preconditions(x1_samples):
         pg.histogram_density(tiny, 64)
 
 
+def test_histogram_span_sets_one_grid(x1_samples, x1sq_samples):
+    both = np.concatenate([x1_samples.values, x1sq_samples.values])
+    hx = pg.histogram_density(x1_samples, 400, span=both)
+    hy = pg.histogram_density(x1sq_samples, 400, span=both)
+    assert (hx.lo, hx.step, hx.size) == (hy.lo, hy.step, hy.size)
+    q_lo, q_hi = np.quantile(both, [1e-4, 1 - 1e-4])
+    assert hx.lo < q_lo and q_hi < hx.hi
+    own = pg.histogram_density(x1_samples, 400, span=x1_samples.values)
+    assert np.array_equal(own.values, pg.histogram_density(x1_samples, 400).values)
+    with pytest.raises(DegenerateRange):
+        pg.histogram_density(x1_samples, 400, span=np.ones(10))
+
+
 def test_kde_oracle_agreement(x1_samples):
     k = pg.kde_density(x1_samples, 400)
     o = pg.oracle_density("normal", k.lo, k.hi, k.size)

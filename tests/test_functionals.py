@@ -55,6 +55,18 @@ def test_probe_grid_range_errors():
         pg.default_probe_grid(wide, lo=-0.1, hi=1.0)
 
 
+def test_geometric_grid_shared_by_probe_and_t_grids(normal_oracle):
+    from polygauss.functionals import geometric_grid
+
+    g = geometric_grid(0.01, 1.0, 12)
+    assert g.size == 25 and (g[0], g[-1]) == (0.01, 1.0)
+    assert geometric_grid(1.0, 1.01, 1).size == 2
+    assert np.array_equal(pg.default_t_grid(0.1, 1e3, 16), geometric_grid(0.1, 1e3, 16))
+    assert np.array_equal(
+        pg.default_probe_grid(normal_oracle, lo=0.01), geometric_grid(0.01, 1.0, 12)
+    )
+
+
 def test_shift_curve_snaps_to_realized_shifts(normal_oracle):
     curve = pg.shift_modulus_curve(normal_oracle, [0.05, 0.0501, 0.1])
     ks = np.round(curve.eps / normal_oracle.step)
@@ -99,6 +111,29 @@ def test_dual_modulus_matches_vertex_enumeration_small_grids():
             assert pg.dual_modulus(rho, eps) == pytest.approx(
                 brute_force_chain_lp(w, eps, step), abs=1e-9
             )
+
+
+def test_dual_modulus_flat_past_the_grid_span():
+    # The objective reads only differences of phi, which span at most
+    # (size - 1) * step; once the box holds that span, sigma is the closed
+    # form step * (sum of all values but the last), every difference at +step.
+    from polygauss.functionals import _telescoped_weights
+    from polygauss.lp import solve_chain_lp
+
+    rng = np.random.default_rng(5)
+    size = 400
+    for step in (1e-3, 2.5e-229):
+        vals = rng.exponential(size=size)
+        rho = pg.GriddedDensity(0.0, step, vals / (vals.sum() * step))
+        closed = step * float(rho.values[:-1].sum())
+        probes = [0.5 * (size - 1) * step, (size - 1) * step, 0.5, 10.0]
+        for eps in probes:
+            assert pg.dual_modulus(rho, eps) == pytest.approx(closed, rel=1e-12)
+        curve = pg.dual_modulus_curve(rho, probes)
+        assert curve.values == pytest.approx(closed, rel=1e-12)
+        if step == 1e-3:  # here the unclamped LP is accurate, and flat too
+            w = _telescoped_weights(rho.values)
+            assert solve_chain_lp(w, 10.0, step) == pytest.approx(closed, rel=1e-9)
 
 
 def test_dual_curve_monotone_concave(normal_oracle):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_evaluate_examples():
     assert evaluate(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), [3.0, 4.0]) == 25.0
     with pytest.raises(DimensionMismatch):
         evaluate(F, [1.0])
+
+
+def test_evaluate_batch_matches_pointwise_with_exponent_gaps():
+    f = Polynomial(2, {(5, 0): 1.0, (2, 3): -2.0, (0, 7): 0.5, (0, 0): 3.0})
+    x = np.random.default_rng(8).standard_normal((50, 2))
+    got = evaluate_batch(f, x)
+    assert got == pytest.approx([evaluate(f, row) for row in x], rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_batch_memory_does_not_grow_with_degree():
+    x = np.random.default_rng(0).standard_normal((100_000, 1))  # 0.8 MB a column
+    tracemalloc.start()
+    try:
+        evaluate_batch(monomial(1, (100,)), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_scale_examples():
