@@ -36,7 +36,6 @@ from .poly import (
     add,
     constant,
     degree,
-    evaluate,
     evaluate_batch,
     in_class,
     leading_magnitude,

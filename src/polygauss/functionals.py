@@ -59,7 +59,10 @@ def log_bracket(u: float, exponent: float) -> float:
     out when its exponent is zero (so the d = m envelope is a clean power)."""
     if exponent == 0:
         return 1.0
-    return abs(math.log(u)) ** exponent + 1.0
+    try:
+        return abs(math.log(u)) ** exponent + 1.0
+    except OverflowError:
+        raise InputError(f"envelope term |ln {u:g}|^{exponent:g} overflows") from None
 
 
 # --- Curves and reports ------------------------------------------------------
@@ -298,7 +301,10 @@ def default_probe_grid(
 
 def geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     """Geometric grid over [lo, hi], 0 < lo < hi: per_decade points a decade, at least 2."""
-    count = max(2, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
+    decades = math.log10(hi / lo)
+    if not math.isfinite(decades):
+        raise InputError(f"range [{lo}, {hi}] does not span a finite number of decades")
+    count = max(2, int(math.ceil(per_decade * decades)) + 1)
     return np.geomspace(lo, hi, count)
 
 

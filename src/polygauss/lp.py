@@ -18,13 +18,6 @@ and a plateau of width 2*slope_step opens at the maximizer.  Dilation,
 clipping to the box, and adding a linear term all preserve concavity and add
 at most O(1) breakpoints per step, so a G-cell solve is O(G^2) worst case
 with small constants (one solve at G = 2048 takes tens of milliseconds).
-
-``brute_force_chain_lp`` is an independent test oracle: it exhaustively
-enumerates the vertices of the feasible polytope.  A vertex is determined by
-the maximal runs of tight chain constraints (segments), a sign for each
-tight chain, and one coordinate per segment pinned at +-box; the oracle
-enumerates all of these with feasibility pruning and reports the best
-objective.  Exponential in G; intended for G <= 12.
 """
 
 from __future__ import annotations
@@ -69,65 +62,3 @@ def solve_chain_lp(weights, box: float, slope_step: float) -> float:
         xs, vs = _dilate_clip(xs, vs, slope_step, box)
         vs = vs + wi * xs
     return float(vs.max())
-
-
-def _segment_profiles(w, start: int, box: float, slope: float, tol: float):
-    """Yield (end, phi_tuple, objective) for every vertex-style assignment of
-    one segment beginning at ``start``: chain constraints tight throughout,
-    one coordinate anchored at +-box, all coordinates within the box."""
-    n = len(w)
-    offsets = [0.0]
-
-    def walk(end: int):
-        lo = min(offsets)
-        hi = max(offsets)
-        if hi - lo <= 2 * box + tol:
-            # anchor any coordinate at +-box; dedupe equal base values
-            bases = set()
-            for off in offsets:
-                for s in (box, -box):
-                    bases.add(round(s - off, 12))
-            for base in bases:
-                phi = [base + o for o in offsets]
-                if all(abs(p) <= box + tol for p in phi):
-                    obj = sum(w[start + i] * p for i, p in enumerate(phi))
-                    yield end, tuple(phi), obj
-        if end + 1 < n and hi - lo <= 2 * box + tol:
-            for sign in (slope, -slope):
-                offsets.append(offsets[-1] + sign)
-                yield from walk(end + 1)
-                offsets.pop()
-
-    yield from walk(start)
-
-
-def brute_force_chain_lp(weights, box: float, slope_step: float) -> float:
-    """Exhaustive vertex enumeration of the chain polytope (test oracle)."""
-    w = [float(x) for x in weights]
-    n = len(w)
-    if n == 0:
-        raise InputError("weights must be nonempty")
-    if box == 0.0:
-        return 0.0
-    tol = 1e-12
-    best = -np.inf
-
-    # Pre-expand the per-start segment profiles once.
-    profiles: list[list[tuple[int, tuple, float]]] = [
-        list(_segment_profiles(w, s, box, slope_step, tol)) for s in range(n)
-    ]
-
-    def rec(start: int, prev_val: float | None, acc: float):
-        nonlocal best
-        for end, phi, obj in profiles[start]:
-            if prev_val is not None and abs(phi[0] - prev_val) > slope_step + tol:
-                continue
-            total = acc + obj
-            if end + 1 == n:
-                if total > best:
-                    best = total
-            else:
-                rec(end + 1, phi[-1], total)
-
-    rec(0, None, 0.0)
-    return float(best)

@@ -142,39 +142,6 @@ def hermite_expand(f: Polynomial) -> HermiteExpansion:
     return HermiteExpansion(f.n, {k: c for k, c in coeffs.items() if c != 0.0})
 
 
-def hermite_values(k: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite polynomial h_k evaluated elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = x.copy()
-    for j in range(1, k):
-        prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    return cur
-
-
-def evaluate_expansion(exp: HermiteExpansion, x: np.ndarray) -> np.ndarray:
-    """Evaluate the Hermite expansion at each row of an (N, n) array."""
-    x = np.asarray(x, dtype=np.float64)
-    max_k = [0] * exp.n
-    for combo in exp.coeffs:
-        for i, k in enumerate(combo):
-            max_k[i] = max(max_k[i], k)
-    tables = [
-        [hermite_values(k, x[:, i]) for k in range(max_k[i] + 1)]
-        for i in range(exp.n)
-    ]
-    out = np.zeros(x.shape[0])
-    for combo, c in exp.coeffs.items():
-        term = np.full(x.shape[0], c)
-        for i, k in enumerate(combo):
-            if k:
-                term = term * tables[i][k]
-        out += term
-    return out
-
-
 def variance_via_hermite(f: Polynomial) -> float:
     return hermite_expand(f).variance
 

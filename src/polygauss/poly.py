@@ -163,20 +163,6 @@ def in_class(f: Polynomial, params: ClassParams) -> bool:
     )
 
 
-def evaluate(f: Polynomial, x: Sequence[float]) -> float:
-    """Evaluate f at a single point."""
-    if len(x) != f.n:
-        raise DimensionMismatch(f"point has length {len(x)}, expected {f.n}")
-    total = 0.0
-    for exps, coef in f.terms.items():
-        term = coef
-        for xi, e in zip(x, exps):
-            if e:
-                term *= float(xi) ** e
-        total += term
-    return total
-
-
 def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
     """Evaluate f at each row of an (N, n) array.
 

@@ -1,0 +1,155 @@
+"""Test oracles: slow, direct implementations that the package is checked
+against.  Each one uses only the package's data types, never the code it
+checks.
+
+* ``ecf_direct`` sums exp(i t v) over every sample (the binned
+  ``ecf_modulus`` must agree within its stated bound).
+* ``brute_force_chain_lp`` enumerates the vertices of the chain polytope
+  (``solve_chain_lp`` must agree).
+* ``evaluate`` evaluates a polynomial at one point (``evaluate_batch`` must
+  agree).
+* ``evaluate_expansion`` evaluates a Hermite expansion (``hermite_expand``
+  must reproduce the polynomial).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from polygauss.density import SampleSet
+from polygauss.errors import DimensionMismatch
+from polygauss.moments import HermiteExpansion
+from polygauss.poly import Polynomial
+
+ECF_CHUNK = 1 << 18
+
+
+def ecf_direct(s: SampleSet, ts) -> np.ndarray:
+    """|mean of exp(i t v_k)| per t, one complex exponential per sample,
+    accumulated over ``ECF_CHUNK``-row chunks in index order."""
+    mods = []
+    for t in ts:
+        acc = 0.0 + 0.0j
+        for start in range(0, s.count, ECF_CHUNK):
+            acc += np.exp(1j * t * s.values[start : start + ECF_CHUNK]).sum()
+        mods.append(abs(acc) / s.count)
+    return np.array(mods)
+
+
+def _segment_profiles(w, start: int, box: float, slope: float, tol: float):
+    """Yield (end, phi_tuple, objective) for every vertex-style assignment of
+    one segment beginning at ``start``: chain constraints tight throughout,
+    one coordinate anchored at +-box, all coordinates within the box."""
+    n = len(w)
+    offsets = [0.0]
+
+    def walk(end: int):
+        lo = min(offsets)
+        hi = max(offsets)
+        if hi - lo <= 2 * box + tol:
+            # anchor any coordinate at +-box; dedupe equal base values
+            bases = set()
+            for off in offsets:
+                for s in (box, -box):
+                    bases.add(round(s - off, 12))
+            for base in bases:
+                phi = [base + o for o in offsets]
+                if all(abs(p) <= box + tol for p in phi):
+                    obj = sum(w[start + i] * p for i, p in enumerate(phi))
+                    yield end, tuple(phi), obj
+        if end + 1 < n and hi - lo <= 2 * box + tol:
+            for sign in (slope, -slope):
+                offsets.append(offsets[-1] + sign)
+                yield from walk(end + 1)
+                offsets.pop()
+
+    yield from walk(start)
+
+
+def brute_force_chain_lp(weights, box: float, slope_step: float) -> float:
+    """Exhaustive vertex enumeration of the chain polytope
+
+        maximize sum_i w_i phi_i  s.t.  |phi_i| <= box, |phi_(i+1) - phi_i| <= slope_step.
+
+    A vertex is determined by the maximal runs of tight chain constraints
+    (segments), a sign for each tight chain, and one coordinate per segment
+    pinned at +-box; all of these are enumerated with feasibility pruning.
+    Exponential in G; intended for G <= 12."""
+    w = [float(x) for x in weights]
+    n = len(w)
+    if n == 0:
+        raise ValueError("weights must be nonempty")
+    if box == 0.0:
+        return 0.0
+    tol = 1e-12
+    best = -np.inf
+
+    # Pre-expand the per-start segment profiles once.
+    profiles: list[list[tuple[int, tuple, float]]] = [
+        list(_segment_profiles(w, s, box, slope_step, tol)) for s in range(n)
+    ]
+
+    def rec(start: int, prev_val: float | None, acc: float):
+        nonlocal best
+        for end, phi, obj in profiles[start]:
+            if prev_val is not None and abs(phi[0] - prev_val) > slope_step + tol:
+                continue
+            total = acc + obj
+            if end + 1 == n:
+                if total > best:
+                    best = total
+            else:
+                rec(end + 1, phi[-1], total)
+
+    rec(0, None, 0.0)
+    return float(best)
+
+
+def evaluate(f: Polynomial, x: Sequence[float]) -> float:
+    """Evaluate f at a single point."""
+    if len(x) != f.n:
+        raise DimensionMismatch(f"point has length {len(x)}, expected {f.n}")
+    total = 0.0
+    for exps, coef in f.terms.items():
+        term = coef
+        for xi, e in zip(x, exps):
+            if e:
+                term *= float(xi) ** e
+        total += term
+    return total
+
+
+def hermite_values(k: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite polynomial h_k evaluated elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    prev = np.ones_like(x)
+    if k == 0:
+        return prev
+    cur = x.copy()
+    for j in range(1, k):
+        prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
+    return cur
+
+
+def evaluate_expansion(exp: HermiteExpansion, x: np.ndarray) -> np.ndarray:
+    """Evaluate the Hermite expansion at each row of an (N, n) array."""
+    x = np.asarray(x, dtype=np.float64)
+    max_k = [0] * exp.n
+    for combo in exp.coeffs:
+        for i, k in enumerate(combo):
+            max_k[i] = max(max_k[i], k)
+    tables = [
+        [hermite_values(k, x[:, i]) for k in range(max_k[i] + 1)]
+        for i in range(exp.n)
+    ]
+    out = np.zeros(x.shape[0])
+    for combo, c in exp.coeffs.items():
+        term = np.full(x.shape[0], c)
+        for i, k in enumerate(combo):
+            if k:
+                term = term * tables[i][k]
+        out += term
+    return out

@@ -12,8 +12,10 @@ from scipy.special import ndtr
 
 import polygauss as pg
 from polygauss.cli import main as cli_main
-from polygauss.lp import brute_force_chain_lp, solve_chain_lp
+from polygauss.lp import solve_chain_lp
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
+
+from oracles import brute_force_chain_lp
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

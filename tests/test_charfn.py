@@ -4,8 +4,24 @@ import numpy as np
 import pytest
 
 import polygauss as pg
+from polygauss.density import SampleSet
 from polygauss.errors import InputError, InsufficientDecay
-from polygauss.poly import monomial, scale
+from polygauss.poly import Polynomial, monomial, scale
+
+from oracles import ecf_direct
+
+
+def truncation_bound(curve, n):
+    """The part of the stated stderr above the Monte Carlo error 1/sqrt(N)."""
+    return curve.stderr - 1.0 / math.sqrt(n)
+
+
+@pytest.fixture(scope="module")
+def wide_samples():
+    """A degree-3 law with coefficients up to 120.6, values within about +-1300."""
+    f = Polynomial(3, {(0, 1, 0): 120.6, (1, 1, 0): -75.1, (1, 0, 1): 33.0,
+                       (0, 0, 1): -8.5, (1, 1, 1): -1.0})
+    return pg.sample(f, 200_000, seed=12)
 
 
 def test_modulus_near_zero_t(x1_samples):
@@ -24,11 +40,78 @@ def test_oracle_values_at_unit_t(x1_samples, x1sq_samples, x1x2_samples):
 
 
 def test_conjugate_symmetry(x1x2_samples):
-    v = x1x2_samples.values[:50_000]
-    for t in (0.7, 3.0):
-        plus = abs(np.exp(1j * t * v).mean())
-        minus = abs(np.exp(-1j * t * v).mean())
-        assert abs(plus - minus) <= 1e-12
+    # the law of -v has the conjugate characteristic function; its samples
+    # fall into other bins, so the two curves agree within their bounds
+    v = x1x2_samples.values
+    plus = pg.ecf_modulus(SampleSet(v, 0), [0.7, 3.0, 40.0])
+    minus = pg.ecf_modulus(SampleSet(-v, 0), [0.7, 3.0, 40.0])
+    bound = truncation_bound(plus, v.size) + truncation_bound(minus, v.size)
+    assert np.all(bound > 0)
+    assert np.all(np.abs(plus.modulus - minus.modulus) <= bound)
+
+
+def test_binned_sum_within_bound_of_direct_sum(x1_samples, x1sq_samples, x1x2_samples):
+    ts = pg.default_t_grid(0.01, 1e3, 4)
+    for s in (x1_samples, x1sq_samples, x1x2_samples):
+        curve = pg.ecf_modulus(s, ts)
+        bound = truncation_bound(curve, s.count)
+        assert np.all(bound > 0)  # every t is binned
+        assert np.all(np.abs(curve.modulus - ecf_direct(s, ts)) <= bound)
+        assert np.all((curve.stderr * math.sqrt(s.count) >= 1.0)
+                      & (curve.stderr * math.sqrt(s.count) <= 1.001))
+
+
+def test_wide_law_mixes_binned_and_direct_sums(wide_samples):
+    s = wide_samples
+    ts = pg.default_t_grid(0.01, 1e3, 4)
+    curve = pg.ecf_modulus(s, ts)
+    # both paths sum the sorted values, so the direct t's match bit for bit
+    want = ecf_direct(SampleSet(np.sort(s.values), s.seed), ts)
+    bound = truncation_bound(curve, s.count)
+    binned = bound > 0
+    assert binned.any() and not binned.all()
+    assert np.all(np.abs(curve.modulus - want)[binned] <= bound[binned])
+    assert np.array_equal(curve.modulus[~binned], want[~binned])
+    assert np.all(curve.stderr * math.sqrt(s.count) <= 1.001)
+
+
+def test_dense_bins_take_the_direct_sum():
+    # 10^4 samples spread over a width of ~400: at t >= 20 the bins are
+    # nearly all occupied, more than N/(p+1) of them
+    s = pg.sample(scale(monomial(1, (1,)), 50.0), 10_000, seed=6)
+    ts = pg.default_t_grid(20.0, 1e3, 8)
+    curve = pg.ecf_modulus(s, ts)
+    assert np.all(curve.stderr == 1.0 / math.sqrt(s.count))
+    assert np.array_equal(curve.modulus, ecf_direct(SampleSet(np.sort(s.values), s.seed), ts))
+
+
+def test_curve_does_not_depend_on_sample_order(wide_samples):
+    s = wide_samples
+    shuffled = SampleSet(np.random.default_rng(0).permutation(s.values), s.seed)
+    ts = pg.default_t_grid(0.01, 1e3, 4)
+    a, b = pg.ecf_modulus(s, ts), pg.ecf_modulus(shuffled, ts)
+    assert np.array_equal(a.modulus, b.modulus)
+    assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_phase_beyond_float_resolution_rejected():
+    # t * range = 1e17: the finest bins would number more than 2^52
+    s = SampleSet(np.linspace(0.0, 1e14, 20_000), 0)
+    with pytest.raises(InputError, match="2\\^52"):
+        pg.ecf_modulus(s, [1e3])
+    assert pg.ecf_modulus(s, [1.0]).modulus.shape == (1,)
+
+
+def test_non_finite_inputs_rejected(x1_samples):
+    for ts in ([math.inf], [math.nan], [1.0, math.inf], []):
+        with pytest.raises(InputError):
+            pg.ecf_modulus(x1_samples, ts)
+    with pytest.raises(InputError):
+        pg.ecf_modulus(SampleSet(np.append(x1_samples.values[:20_000], math.nan), 0), [1.0])
+    with pytest.raises(InputError):
+        pg.CfCurve(np.array([1.0]), np.array([math.nan]), np.array([0.01]))
+    with pytest.raises(InputError):
+        pg.CfCurve(np.array([1.0]), np.array([0.5]), np.array([math.inf]))
 
 
 def test_moduli_below_one_plus_noise(x1x2_samples):

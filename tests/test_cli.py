@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -261,6 +262,20 @@ def test_bad_config_field_exits_3(tmp_path, capsys, override):
     assert next(iter(override)) in err
 
 
+@pytest.mark.parametrize("command,override", [
+    ("cf", {"t": {"hi": math.inf}}),
+    ("cf", {"t": {"lo": 1e-320}}),
+    ("modulus", {"eps": {"lo": 1e-320}}),
+])
+def test_grid_spanning_infinite_decades_exits_3(tmp_path, capsys, command, override):
+    cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, "grid": 64, **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_partial_nested_config_keeps_defaults(tmp_path):
     cfg = {"polynomial": json.loads(X1SQ), "samples": 200_000, "grid": 128,
            "eps": {"hi": 0.5}, "t": {"hi": 100.0}}
@@ -282,6 +297,11 @@ def test_overflow_is_an_input_error(tmp_path, capsys):
         assert run([cmd, "--poly", huge, "--samples", "20000", "--grid", "128",
                     "--out", str(tmp_path / cmd)]) == 3
         assert "overflow" in capsys.readouterr().err
+    # degree 218 with leading magnitude 1e-300: |ln(a eps)|^109 overflows
+    tiny = '{"n": 2, "terms": [{"exp": [109, 109], "coef": 1e-300}]}'
+    assert run(["modulus", "--poly", tiny, "--samples", "12000", "--grid", "16",
+                "--out", str(tmp_path / "tiny")]) == 3
+    assert "overflows" in capsys.readouterr().err
     x400 = '{"n": 1, "terms": [{"exp": [400], "coef": 1.0}]}'
     assert run(["variance", "--poly", x400, "--out", str(tmp_path / "v")]) == 3
     assert "overflows" in capsys.readouterr().err
@@ -313,16 +333,19 @@ def _term(n):
 POLYS = st.integers(1, 2).flatmap(lambda n: st.fixed_dictionaries(
     {"n": st.just(n), "terms": st.lists(_term(n), max_size=3)}
 ))
+# Range ends the grids must reject or survive: infinities, NaN, zero and
+# subnormals (whose ratio to any ordinary end overflows).
+ODD_ENDS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e-310])
 # Partial nested dicts, sometimes with an unknown key.
 EPS = st.fixed_dictionaries({}, optional={
-    "lo": st.one_of(st.none(), st.floats(-0.1, 0.5)),
-    "hi": st.floats(-0.1, 2.0),
+    "lo": st.one_of(st.none(), st.floats(-0.1, 0.5), ODD_ENDS),
+    "hi": st.one_of(st.floats(-0.1, 2.0), ODD_ENDS),
     "per_decade": st.integers(-1, 6),
     "width": st.just(1),
 })
 T = st.fixed_dictionaries({}, optional={
-    "lo": st.floats(-1.0, 10.0),
-    "hi": st.floats(-1.0, 300.0),
+    "lo": st.one_of(st.floats(-1.0, 10.0), ODD_ENDS),
+    "hi": st.one_of(st.floats(-1.0, 300.0), ODD_ENDS),
     "per_decade": st.integers(-1, 8),
     "width": st.just(1),
 })

@@ -53,6 +53,11 @@ def test_probe_grid_range_errors():
         pg.default_probe_grid(wide, lo=1.0, hi=1.0)
     with pytest.raises(InputError):
         pg.default_probe_grid(wide, lo=-0.1, hi=1.0)
+    for lo, hi in [(1e-320, 1.0), (0.1, math.inf), (0.1, math.nan)]:
+        with pytest.raises(InputError):
+            pg.default_probe_grid(wide, lo=lo, hi=hi)
+        with pytest.raises(InputError):
+            pg.default_t_grid(lo, hi)
 
 
 def test_geometric_grid_shared_by_probe_and_t_grids(normal_oracle):
@@ -99,7 +104,7 @@ def test_dual_modulus_zero_eps(normal_oracle):
 
 def test_dual_modulus_matches_vertex_enumeration_small_grids():
     from polygauss.functionals import _telescoped_weights
-    from polygauss.lp import brute_force_chain_lp
+    from oracles import brute_force_chain_lp
 
     rng = np.random.default_rng(31)
     for size in (6, 9, 12):

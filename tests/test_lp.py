@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from polygauss.errors import InputError
-from polygauss.lp import brute_force_chain_lp, solve_chain_lp
+from polygauss.lp import solve_chain_lp
+
+from oracles import brute_force_chain_lp
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import polygauss as pg
 from polygauss.errors import DegreeExceedsCap, InputError
 from polygauss.moments import (
     _derivative_energy_matrix,
-    evaluate_expansion,
     expectation,
     gaussian_moment,
     hermite_expand,
@@ -17,6 +16,8 @@ from polygauss.moments import (
     variance_via_hermite,
 )
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
+
+from oracles import evaluate_expansion
 
 
 def test_gaussian_moment():

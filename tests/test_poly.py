@@ -20,7 +20,6 @@ from polygauss.poly import (
     constant,
     degree,
     dumps,
-    evaluate,
     evaluate_batch,
     from_json_dict,
     in_class,
@@ -36,6 +35,8 @@ from polygauss.poly import (
     to_json_dict,
     variable,
 )
+
+from oracles import evaluate
 
 F = Polynomial(2, {(2, 1): 3.0, (1, 2): 1.0, (0, 1): -5.0})  # 3x1^2x2 + x1x2^2 - 5x2
 ZERO2 = Polynomial(2, {})
