@@ -148,10 +148,17 @@ def _quantile_grid(values: np.ndarray, size: int) -> tuple[float, float]:
     return float(q_lo - 2.0 * step), float(step)
 
 
-def _histogram(values: np.ndarray, lo: float, step: float, size: int) -> np.ndarray:
+def _half_counts(
+    values: np.ndarray, lo: float, step: float, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell counts of the two halves of ``values``, binned in one pass; their
+    sum is the count of the whole sample (integers, so exact in float64)."""
     idx = np.floor((values - lo) / step).astype(np.int64)
-    keep = (idx >= 0) & (idx < size)
-    return np.bincount(idx[keep], minlength=size).astype(np.float64)
+    half = values.shape[0] // 2
+    return tuple(
+        np.bincount(part[(part >= 0) & (part < size)], minlength=size).astype(np.float64)
+        for part in (idx[:half], idx[half:])
+    )
 
 
 def histogram_density(
@@ -171,12 +178,13 @@ def histogram_density(
         raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
     vals = s.values
     glo, step = _quantile_grid(vals if span is None else span, size)
-    counts = _histogram(vals, glo, step, size)
+    c1, c2 = _half_counts(vals, glo, step, size)
+    counts = c1 + c2
     n = s.count
     clipped = 1.0 - counts.sum() / n
     half = n // 2
-    h1 = _histogram(vals[:half], glo, step, size) / (half * step)
-    h2 = _histogram(vals[half:], glo, step, size) / ((n - half) * step)
+    h1 = c1 / (half * step)
+    h2 = c2 / ((n - half) * step)
     noise = 0.5 * step * float(np.abs(h1 - h2).sum())
     return GriddedDensity(
         glo, step, counts / (n * step), clipped_mass=float(clipped), l1_noise=noise
@@ -213,7 +221,8 @@ def kde_density(
     if bw <= 0:
         raise InputError(f"bandwidth must be positive, got {bw}")
     lo, step = _quantile_grid(s.values, size)
-    counts = _histogram(s.values, lo, step, size)
+    c1, c2 = _half_counts(s.values, lo, step, size)
+    counts = c1 + c2
     clipped = 1.0 - counts.sum() / s.count
     reach = max(1, int(np.ceil(6.0 * bw / step)))
     offsets = np.arange(-reach, reach + 1) * step
@@ -228,8 +237,8 @@ def kde_density(
 
     dens = smooth(counts, s.count)
     half = s.count // 2
-    d1 = smooth(_histogram(s.values[:half], lo, step, size), half)
-    d2 = smooth(_histogram(s.values[half:], lo, step, size), s.count - half)
+    d1 = smooth(c1, half)
+    d2 = smooth(c2, s.count - half)
     noise = 0.5 * step * float(np.abs(d1 - d2).sum())
     return GriddedDensity(
         lo, step, dens, clipped_mass=float(clipped), l1_noise=noise, bandwidth=bw

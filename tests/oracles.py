@@ -6,6 +6,8 @@ checks.
   ``ecf_modulus`` must agree within its stated bound).
 * ``brute_force_chain_lp`` enumerates the vertices of the chain polytope
   (``solve_chain_lp`` must agree).
+* ``highs_chain_lp`` hands the same LP to a general-purpose solver, for
+  chains too long to enumerate.
 * ``evaluate`` evaluates a polynomial at one point (``evaluate_batch`` must
   agree).
 * ``evaluate_expansion`` evaluates a Hermite expansion (``hermite_expand``
@@ -18,6 +20,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from polygauss.density import SampleSet
 from polygauss.errors import DimensionMismatch
@@ -106,6 +110,24 @@ def brute_force_chain_lp(weights, box: float, slope_step: float) -> float:
 
     rec(0, None, 0.0)
     return float(best)
+
+
+def highs_chain_lp(weights, box: float, slope_step: float) -> float:
+    """The chain LP solved by HiGHS (``scipy.optimize.linprog``), with the
+    chain constraints as a sparse difference matrix D: -step <= D phi <= step."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.shape[0]
+    diff = sparse.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    res = linprog(
+        -w,
+        A_ub=sparse.vstack([diff, -diff]).tocsr(),
+        b_ub=np.full(2 * (n - 1), slope_step),
+        bounds=(-box, box),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return float(-res.fun)
 
 
 def evaluate(f: Polynomial, x: Sequence[float]) -> float:

@@ -82,6 +82,38 @@ def test_histogram_span_sets_one_grid(x1_samples, x1sq_samples):
         pg.histogram_density(x1_samples, 400, span=np.ones(10))
 
 
+def _three_pass_histogram(values, lo, step, size):
+    """Values, clipped mass and L1 noise with the whole sample and each half
+    binned separately."""
+
+    def bins(v):
+        idx = np.floor((v - lo) / step).astype(np.int64)
+        keep = (idx >= 0) & (idx < size)
+        return np.bincount(idx[keep], minlength=size).astype(np.float64)
+
+    n = values.shape[0]
+    half = n // 2
+    counts = bins(values)
+    h1 = bins(values[:half]) / (half * step)
+    h2 = bins(values[half:]) / ((n - half) * step)
+    noise = 0.5 * step * float(np.abs(h1 - h2).sum())
+    return counts / (n * step), 1.0 - counts.sum() / n, noise
+
+
+@pytest.mark.parametrize("name", ["x1_samples", "x1x2_samples"])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled):
+    s = request.getfixturevalue(name)
+    span = np.concatenate([s.values, x1sq_samples.values]) if pooled else None
+    rho = pg.histogram_density(s, 400, span=span)
+    values, clipped, noise = _three_pass_histogram(s.values, rho.lo, rho.step, rho.size)
+    assert rho.values.tobytes() == values.tobytes()
+    assert rho.clipped_mass == clipped
+    assert rho.l1_noise == noise
+    if pooled:
+        assert rho.clipped_mass > 0.0  # the pooled grid cuts off part of s
+
+
 def test_kde_oracle_agreement(x1_samples):
     k = pg.kde_density(x1_samples, 400)
     o = pg.oracle_density("normal", k.lo, k.hi, k.size)

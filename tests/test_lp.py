@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polygauss as pg
 from polygauss.errors import InputError
+from polygauss.functionals import _dual_box, _telescoped_weights
 from polygauss.lp import solve_chain_lp
 
-from oracles import brute_force_chain_lp
+from oracles import brute_force_chain_lp, highs_chain_lp
 
 
 @pytest.mark.parametrize(
@@ -26,6 +30,41 @@ def test_solver_matches_vertex_enumeration(size, box, slope):
         w = rng.normal(size=size)
         assert solve_chain_lp(w, box, slope) == pytest.approx(
             brute_force_chain_lp(w, box, slope), abs=1e-9
+        )
+
+
+DYADIC = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(w=st.lists(st.integers(-2, 2), min_size=1, max_size=8), box=DYADIC, step=DYADIC)
+def test_ties_and_degenerate_steps_match_vertex_enumeration(w, box, step):
+    # integer weights give exact zeros and equal slope drops; dyadic box and
+    # step (box below, at and above the step) give coincident breakpoints
+    assert solve_chain_lp(w, box, step) == pytest.approx(
+        brute_force_chain_lp(w, box, step), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("size", [50, 400, 2048])
+def test_solver_matches_highs(size, x1_samples, x1sq_samples, x1x2_samples):
+    rng = np.random.default_rng(size)
+    step = 1.0 / size
+    alternating = np.where(np.arange(size) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 1.5, size)
+    cases = [(rng.normal(size=size), 0.3, step), (alternating, 0.1, step)]
+    for s in (x1_samples, x1sq_samples, x1x2_samples):
+        rho = pg.histogram_density(s, size)
+        w = _telescoped_weights(rho.values)
+        cases += [(w, _dual_box(rho, eps), rho.step) for eps in (0.01, 0.3, 100.0)]
+    both = np.concatenate([x1_samples.values, x1x2_samples.values])
+    hx = pg.histogram_density(x1_samples, size, span=both)
+    hy = pg.histogram_density(x1x2_samples, size, span=both)
+    kr_weights = hx.step * (hx.values - hy.values)
+    assert pg.kr_distance(hx, hy) == solve_chain_lp(kr_weights, 1.0, hx.step)
+    cases.append((kr_weights, 1.0, hx.step))
+    for w, box, slope in cases:
+        assert solve_chain_lp(w, box, slope) == pytest.approx(
+            highs_chain_lp(w, box, slope), rel=1e-9
         )
 
 
