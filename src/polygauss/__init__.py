@@ -16,7 +16,6 @@ from .errors import (
     DegenerateRange,
     DegreeExceedsCap,
     DimensionMismatch,
-    DimensionTooSmall,
     EpsilonBelowResolution,
     GridMismatch,
     IndexOutOfRange,
@@ -44,7 +43,6 @@ from .poly import (
     multiply,
     partial_derivative,
     random_in_class,
-    restrict_variable,
     scale,
     variable,
 )
@@ -65,7 +63,6 @@ from .density import (
     affine_density,
     ecdf,
     histogram_density,
-    kde_density,
     load_samples,
     oracle_density,
     sample,

@@ -28,6 +28,9 @@ from .functionals import (
 ECF_CHUNK = 1 << 18
 ECF_ORDER = 16  # p: Taylor terms k = 0..p per bin
 ECF_TOL = 1e-3  # truncation bound per t, in units of 1/sqrt(N)
+CF_NOISE_FACTOR = 5.0  # probes below this many stderr are noise
+CF_SLOPE_TOL = 0.1  # largest log-log ratio trend the decay check accepts
+CF_MIN_FIT_POINTS = 6  # fewest probes with |a t| >= 1 that get a trend fit
 
 
 @dataclass(frozen=True)
@@ -234,25 +237,21 @@ def cf_envelope(p: EnvelopeParams, t: float) -> float:
     return u ** (-1.0 / p.m) * log_bracket(u, p.d - p.m)
 
 
-def cf_decay_check(
-    curve: CfCurve,
-    p: EnvelopeParams,
-    slope_tol: float = 0.1,
-    noise_factor: float = 5.0,
-    min_fit_points: int = 6,
-) -> BoundReport:
+def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:
     """Boundedness of |ecf| / envelope over probes above the noise floor.
 
-    Below ``noise_factor * stderr`` the modulus estimate is pure noise, so
-    those probes are excluded.  The verdict requires a finite fitted
+    Below ``CF_NOISE_FACTOR * stderr`` the modulus estimate is pure noise,
+    so those probes are excluded; the rest must span at least a decade of t,
+    else ``InsufficientDecay``.  The verdict requires a finite fitted
     constant and no upward trend of the log ratio in log t (slope at most
-    ``slope_tol``; strongly negative slopes just mean the envelope is
-    conservative for this input and are fine).  The trend is fitted over
-    probes with |a t| >= 1; when fewer than ``min_fit_points`` survive, the
-    modulus fell below the floor too fast for a trend to exist and the
-    verdict rests on boundedness alone.
+    ``CF_SLOPE_TOL``, reported as the ``slope_tol`` extra; strongly negative
+    slopes just mean the envelope is conservative for this input and are
+    fine).  The trend is fitted over probes with |a t| >= 1; when fewer than
+    ``CF_MIN_FIT_POINTS`` survive, the modulus fell below the floor too fast
+    for a trend to exist, ``ratio_slope`` is None and the verdict rests on
+    boundedness alone.
     """
-    floor = noise_factor * curve.stderr
+    floor = CF_NOISE_FACTOR * curve.stderr
     valid = curve.modulus >= floor
     if valid.sum() < 2 or (
         curve.t[valid].max() / curve.t[valid].min() < 10.0
@@ -264,9 +263,9 @@ def cf_decay_check(
     ratios = curve.modulus / env
     c_hat = float(ratios[valid].max())
     fit = valid & (p.lead * curve.t >= 1.0)
-    if fit.sum() >= min_fit_points:
+    if fit.sum() >= CF_MIN_FIT_POINTS:
         slope = ols_slope(np.log(curve.t[fit]), np.log(ratios[fit]))
-        ok = math.isfinite(c_hat) and slope <= slope_tol
+        ok = math.isfinite(c_hat) and slope <= CF_SLOPE_TOL
     else:
         slope = None
         ok = math.isfinite(c_hat)
@@ -282,7 +281,7 @@ def cf_decay_check(
         rows,
         fitted_constant=c_hat,
         extra_ok=ok,
-        extras={"ratio_slope": slope, "slope_tol": slope_tol},
+        extras={"ratio_slope": slope, "slope_tol": CF_SLOPE_TOL},
     )
 
 

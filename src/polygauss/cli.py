@@ -36,7 +36,6 @@ from .errors import (
     EpsilonBelowResolution,
     InputError,
     InsufficientDecay,
-    NonpositiveDistance,
     PolyGaussError,
     ZeroVariance,
 )
@@ -61,6 +60,7 @@ from .poly import (
     degree,
     from_json_dict,
     leading_magnitude,
+    loads,
     max_var_power,
     random_in_class,
     scale,
@@ -143,6 +143,14 @@ SCHEMA = {
 }
 
 
+# Smallest accepted value of each integer field; "eps.per_decade" is the
+# per_decade key of the eps object.
+MINIMUM = {
+    "seed": 0, "samples": 1, "grid": 1, "workers": 1, "cf_samples": 1,
+    "eps.per_decade": 1, "t.per_decade": 1,
+}
+
+
 def _fits(val, rule) -> bool:
     if isinstance(rule, dict):
         return isinstance(val, dict) and set(val) <= set(rule) and all(
@@ -180,32 +188,28 @@ def _load_config(args: argparse.Namespace) -> dict:
     cfg.update({k: v for k, v in flags.items() if v is not None})
     fam = {k: v for k in ("n", "m", "d", "count") if (v := getattr(args, k)) is not None}
     cfg["family"] = {**(cfg["family"] or {}), **fam} or None
-    if cfg["seed"] < 0:
-        raise InputError(f"seed must be >= 0, got {cfg['seed']}")
+    for name, least in MINIMUM.items():
+        obj, _, key = name.rpartition(".")
+        val = cfg[obj][key] if obj else cfg[key]
+        if val < least:
+            raise InputError(f"{name} must be >= {least}, got {val}")
     return cfg
 
 
 def _resolve_polynomial(spec, what: str = "polynomial") -> Polynomial:
+    """A polynomial from a config dict, inline JSON, or a file named by
+    ``@path`` or a bare path; errors name the field ``what``."""
     if spec is None:
         raise InputError(f"no {what} given (config field or --poly)")
-    if isinstance(spec, dict):
-        return from_json_dict(spec)
-    text = str(spec)
-    if text.startswith("@"):
-        path = Path(text[1:])
+    if isinstance(spec, str) and not spec.lstrip().startswith("{"):
+        path = Path(spec.removeprefix("@"))
         if not path.exists():
             raise InputError(f"{what} file not found: {path}")
-        text = path.read_text()
-    elif not text.lstrip().startswith("{"):
-        path = Path(text)
-        if not path.exists():
-            raise InputError(f"{what} file not found: {path}")
-        text = path.read_text()
+        spec = path.read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid {what} JSON: {exc}") from exc
-    return from_json_dict(data)
+        return loads(spec) if isinstance(spec, str) else from_json_dict(spec)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def _config_hash(cfg: dict) -> str:
@@ -530,7 +534,7 @@ def main(argv=None) -> int:
     except RESOLUTION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (InputError, NonpositiveDistance, PolyGaussError, OSError) as exc:
+    except (PolyGaussError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -83,12 +83,12 @@ def sample(
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """Cell-averaged density on a uniform grid.
+    """Cell-averaged density on a uniform grid, from ``histogram_density``,
+    ``oracle_density`` or ``affine_density``.
 
     clipped_mass: probability mass outside the grid (tail truncation).
     l1_noise:     Monte Carlo L1 noise estimate from seed-split halves
                   (zero for closed-form densities).
-    bandwidth:    kernel bandwidth when produced by the KDE estimator.
     """
 
     lo: float
@@ -96,7 +96,6 @@ class GriddedDensity:
     values: np.ndarray
     clipped_mass: float = 0.0
     l1_noise: float = 0.0
-    bandwidth: float | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -132,12 +131,6 @@ class GriddedDensity:
         to zero at both grid ends (a discretization-bias proxy)."""
         v = self.values
         return float(v[0] + np.abs(np.diff(v)).sum() + v[-1])
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("grid_point,value\n")
-            for c, v in zip(self.centers(), self.values):
-                fh.write(f"{float(c):.17g},{float(v):.17g}\n")
 
 
 def _quantile_grid(values: np.ndarray, size: int) -> tuple[float, float]:
@@ -188,60 +181,6 @@ def histogram_density(
     noise = 0.5 * step * float(np.abs(h1 - h2).sum())
     return GriddedDensity(
         glo, step, counts / (n * step), clipped_mass=float(clipped), l1_noise=noise
-    )
-
-
-def silverman_bandwidth(values: np.ndarray) -> float:
-    std = float(np.std(values))
-    q25, q75 = np.quantile(values, [0.25, 0.75])
-    scale = min(std, (q75 - q25) / 1.34) if q75 > q25 else std
-    if scale <= 0:
-        raise DegenerateRange("zero spread; no bandwidth")
-    return 0.9 * scale * values.shape[0] ** (-0.2)
-
-
-def kde_density(
-    s: SampleSet,
-    size: int = 400,
-    bandwidth: float | str = "auto",
-) -> GriddedDensity:
-    """Gaussian-kernel estimate on a uniform grid.
-
-    Data are binned first and convolved with a discretely normalized kernel;
-    kernel mass smoothed past the grid ends (hard support boundaries) is
-    put back by a flat renormalization, so the mass identity holds for any
-    bandwidth.  ``bandwidth="auto"`` uses Silverman's rule
-    0.9 * min(std, IQR/1.34) * N^(-1/5).
-    """
-    if size < 16:
-        raise InputError(f"need at least 16 cells, got {size}")
-    if s.count < 10 * size:
-        raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
-    bw = silverman_bandwidth(s.values) if bandwidth == "auto" else float(bandwidth)
-    if bw <= 0:
-        raise InputError(f"bandwidth must be positive, got {bw}")
-    lo, step = _quantile_grid(s.values, size)
-    c1, c2 = _half_counts(s.values, lo, step, size)
-    counts = c1 + c2
-    clipped = 1.0 - counts.sum() / s.count
-    reach = max(1, int(np.ceil(6.0 * bw / step)))
-    offsets = np.arange(-reach, reach + 1) * step
-    kernel = np.exp(-0.5 * (offsets / bw) ** 2)
-    kernel /= kernel.sum()
-
-    def smooth(c: np.ndarray, total: int) -> np.ndarray:
-        dens = np.convolve(c, kernel, mode="same") / (total * step)
-        covered = c.sum() / total
-        mass = step * dens.sum()
-        return dens * (covered / mass) if mass > 0 else dens
-
-    dens = smooth(counts, s.count)
-    half = s.count // 2
-    d1 = smooth(c1, half)
-    d2 = smooth(c2, s.count - half)
-    noise = 0.5 * step * float(np.abs(d1 - d2).sum())
-    return GriddedDensity(
-        lo, step, dens, clipped_mass=float(clipped), l1_noise=noise, bandwidth=bw
     )
 
 

@@ -30,10 +30,6 @@ class IndexOutOfRange(PolyGaussError, IndexError):
     """A 1-based variable index fell outside 1..n."""
 
 
-class DimensionTooSmall(PolyGaussError, ValueError):
-    """Variable restriction needs at least two variables."""
-
-
 class DegreeExceedsCap(PolyGaussError, ValueError):
     """A univariate polynomial exceeds the stated degree cap."""
 

@@ -36,7 +36,6 @@ Carlo L1 noise estimate, scaled by the inequality's coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,11 +167,6 @@ class BoundReport:
             "verdict": bool(self.verdict),
             "extras": self.extras,
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
 
 
 # --- Error budgets -----------------------------------------------------------
@@ -407,22 +401,13 @@ class EnvelopeFit:
 
 
 def fit_envelope(
-    curve: ModulusCurve,
-    p: EnvelopeParams,
-    fit_lo: float | None = None,
-    fit_hi: float | None = None,
-    exponent_bias: float = 0.0,
+    curve: ModulusCurve, p: EnvelopeParams, exponent_bias: float = 0.0
 ) -> EnvelopeFit:
-    eps = curve.eps
-    vals = curve.values
-    keep = vals > 0
-    if fit_lo is not None:
-        keep &= eps >= fit_lo * (1.0 - 1e-9)
-    if fit_hi is not None:
-        keep &= eps <= fit_hi * (1.0 + 1e-9)
+    """Fit the envelope over every positive point of ``curve``."""
+    keep = curve.values > 0
     if keep.sum() < 3:
         raise InputError("envelope fit needs at least 3 positive curve points")
-    eps, vals = eps[keep], vals[keep]
+    eps, vals = curve.eps[keep], curve.values[keep]
     env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
     ratios = vals / env
     log_eps = np.log(eps)
@@ -439,24 +424,21 @@ def fit_envelope(
 def envelope_check(
     curve: ModulusCurve,
     p: EnvelopeParams,
-    ratio_slope_tol: float = 0.15,
-    slope_range: tuple[float, float] | None = None,
-    fit_lo: float | None = None,
-    fit_hi: float | None = None,
+    slope_range: tuple[float, float] = (-0.15, 0.15),
     exponent_bias: float = 0.0,
 ) -> BoundReport:
     """Boundedness of the modulus against the scaling-law envelope.
 
     Passes when the fitted constant is finite and the log-log trend of the
-    ratio stays inside ``slope_range`` (default symmetric
-    ``+-ratio_slope_tol``): a strong trend either way means the claimed
-    exponent is wrong for this curve.  Oracle-grade curves restricted to
-    small eps sit near zero; Monte Carlo curves probed up to eps ~ 1 need a
-    wider window because the log bracket collapses as eps approaches the
-    leading magnitude.
+    ratio, fitted over every positive point of ``curve``, stays inside
+    ``slope_range``: a strong trend either way means the claimed exponent is
+    wrong for this curve.  Oracle-grade curves restricted to small eps sit
+    near zero, which the default symmetric window holds them to; Monte Carlo
+    curves probed up to eps ~ 1 need a wider window because the log bracket
+    collapses as eps approaches the leading magnitude.
     """
-    fit = fit_envelope(curve, p, fit_lo, fit_hi, exponent_bias)
-    lo_s, hi_s = slope_range if slope_range else (-ratio_slope_tol, ratio_slope_tol)
+    fit = fit_envelope(curve, p, exponent_bias)
+    lo_s, hi_s = slope_range
     rows = [
         ProbeRow(float(e), float(v), fit.c_hat * modulus_envelope(p, e, exponent_bias), 1e-12)
         for e, v in zip(curve.eps, curve.values)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DimensionTooSmall,
     IndexOutOfRange,
     InputError,
     ZeroPolynomial,
@@ -33,6 +32,8 @@ from .errors import (
 )
 
 MultiIndex = tuple[int, ...]
+
+CLASS_MAX_TERMS = 12  # most non-constant terms random_in_class draws
 
 
 def _validate_terms(n: int, terms: Mapping[Sequence[int], float]) -> dict[MultiIndex, float]:
@@ -70,10 +71,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -168,7 +165,7 @@ def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
 
     Each variable's powers come from one running product, of which only the
     exponents some term uses are kept, so memory does not grow with the
-    degree; the cost is O(num_terms * n * N) multiplies.
+    degree; the cost is O(terms * n * N) multiplies.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != f.n:
@@ -239,51 +236,22 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.n, terms)
 
 
-def restrict_variable(f: Polynomial, i: int) -> list[Polynomial]:
-    """Collect f by powers of x_i: f = sum_j  f_j(x_without_i) * x_i^j.
-
-    Returns the list (f_0, ..., f_J) of polynomials in n-1 variables, where
-    J is the largest power of x_i present.  Summing them back against x_i^j
-    reconstructs f identically.
-    """
-    if f.n < 2:
-        raise DimensionTooSmall("restriction needs at least 2 variables")
-    if not 1 <= i <= f.n:
-        raise IndexOutOfRange(f"variable index {i} outside 1..{f.n}")
-    if f.is_zero:
-        raise ZeroPolynomial("restriction of the zero polynomial is undefined")
-    k = i - 1
-    top = max(exps[k] for exps in f.terms)
-    layers: list[dict[MultiIndex, float]] = [{} for _ in range(top + 1)]
-    for exps, coef in f.terms.items():
-        reduced = exps[:k] + exps[k + 1 :]
-        layer = layers[exps[k]]
-        layer[reduced] = layer.get(reduced, 0.0) + coef
-    return [Polynomial(f.n - 1, layer) for layer in layers]
-
-
-def random_in_class(
-    params: ClassParams,
-    seed: int,
-    law: str = "uniform",
-    max_terms: int = 12,
-) -> Polynomial:
+def random_in_class(params: ClassParams, seed: int) -> Polynomial:
     """Draw a random polynomial from the (n, m, d) class, deterministic per seed.
 
-    The default law picks a random subset of admissible exponent tuples,
-    draws coefficients uniformly on [-1, 1], and rescales so that the
-    leading magnitude equals 1.  Degenerate draws (constant, or with a
-    vanishing leading coefficient) are retried with a perturbed seed.
+    Picks a random subset of 2 to ``CLASS_MAX_TERMS`` admissible exponent
+    tuples (fewer if the class has fewer), draws coefficients uniformly on
+    [-1, 1], adds a constant term with probability 1/2, and rescales so that
+    the leading magnitude equals 1.  Degenerate draws (constant, or with a
+    vanishing leading coefficient) are redrawn from the same stream.
     """
-    if law != "uniform":
-        raise InputError(f"unknown coefficient law {law!r}")
     admissible = [
         exps
         for exps in itertools.product(range(params.m + 1), repeat=params.n)
         if 0 < sum(exps) <= params.d
     ]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pool = min(max_terms, len(admissible))
+    pool = min(CLASS_MAX_TERMS, len(admissible))
     for _ in range(100):
         k = int(rng.integers(min(2, pool), pool + 1))
         chosen = rng.choice(len(admissible), size=k, replace=False)

@@ -253,6 +253,12 @@ def test_verify_all_grid_too_coarse_exits_4(tmp_path, capsys):
     {"family": {"n": 2, "m": 1, "d": 2, "size": 3}},
     {"eps": {"hi": 1.0, "step": 0.1}},
     {"t": None},
+    {"samples": 0},
+    {"grid": 0},
+    {"workers": -3},
+    {"cf_samples": -5},
+    {"eps": {"per_decade": 0}},
+    {"t": {"per_decade": -4}},
 ])
 def test_bad_config_field_exits_3(tmp_path, capsys, override):
     cfg = small_family_cfg(tmp_path, "bad", **override)
@@ -356,15 +362,41 @@ BASE = st.fixed_dictionaries(
      "grid": st.sampled_from([16, 64])},
     optional={
         "seed": st.integers(-2, 50),
-        "workers": st.integers(1, 2),
+        "workers": st.integers(-2, 2),
         "eps": EPS,
         "t": T,
     },
 )
-# A base config with up to two fields (or an unknown one) of the wrong type.
+# Count fields, which must be at least 1; "eps.per_decade" is eps's key.
+COUNT_FIELDS = ("samples", "grid", "workers", "cf_samples", "eps.per_decade", "t.per_decade")
+
+
+def _count_below_one(cfg):
+    for name in COUNT_FIELDS:
+        obj, _, key = name.rpartition(".")
+        holder = cfg.get(obj) if obj else cfg
+        if isinstance(holder, dict) and type(holder.get(key)) is int and holder[key] < 1:
+            return True
+    return False
+
+
+def _config(cfg, low, bad):
+    cfg = dict(cfg)
+    for name, val in low:
+        obj, _, key = name.rpartition(".")
+        if obj:
+            cfg[obj] = {**cfg.get(obj, {}), key: val}
+        else:
+            cfg[key] = val
+    return {**cfg, **dict(bad)}
+
+
+# A base config with at most one count field set to 0 or below, and up to two
+# fields (or an unknown one) of the wrong type.
 CONFIGS = st.builds(
-    lambda cfg, bad: {**cfg, **dict(bad)},
+    _config,
     BASE,
+    st.lists(st.tuples(st.sampled_from(COUNT_FIELDS), st.integers(-3, 0)), max_size=1),
     st.lists(st.tuples(st.sampled_from(
         ["polynomial", "samples", "seed", "grid", "svg", "eps", "t", "family", "bogus"]
     ), WRONG), max_size=2),
@@ -381,6 +413,8 @@ def test_any_config_runs_or_exits_with_one_line_error(command, cfg):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3, 4)
+    if _count_below_one(cfg):
+        assert code == 3
     if code in (3, 4):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1

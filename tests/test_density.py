@@ -114,25 +114,6 @@ def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled
         assert rho.clipped_mass > 0.0  # the pooled grid cuts off part of s
 
 
-def test_kde_oracle_agreement(x1_samples):
-    k = pg.kde_density(x1_samples, 400)
-    o = pg.oracle_density("normal", k.lo, k.hi, k.size)
-    assert k.step * np.abs(k.values - o.values).sum() <= 0.01
-    assert k.bandwidth is not None and 0.03 <= k.bandwidth <= 0.09
-
-
-def test_kde_mass_invariant_small_bandwidth():
-    s = pg.sample(monomial(1, (1,)), 400, seed=2)
-    k = pg.kde_density(s, 16, bandwidth=1e-4)
-    assert 0.999 <= k.mass <= 1.0 + 1e-9
-
-
-def test_kde_smooths_singularity(x1sq_samples):
-    k = pg.kde_density(x1sq_samples, 400)
-    assert np.all(np.isfinite(k.values))
-    assert 0.999 <= k.mass <= 1.0 + 1e-9
-
-
 def test_oracle_normal_point_value():
     o = pg.oracle_density("normal", -4.0, 4.0, 2048)
     at0 = o.values[o.size // 2]
@@ -214,13 +195,6 @@ def test_persistence_rejects_mismatch(tmp_path):
     side.write_text(side.read_text().replace("1000", "999"))
     with pytest.raises(InputError):
         pg.load_samples(path)
-
-
-def test_density_csv_export(tmp_path, normal_oracle):
-    normal_oracle.to_csv(tmp_path / "d.csv")
-    lines = (tmp_path / "d.csv").read_text().splitlines()
-    assert lines[0] == "grid_point,value"
-    assert len(lines) == normal_oracle.size + 1
 
 
 def test_gridded_density_validation():

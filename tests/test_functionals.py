@@ -394,14 +394,12 @@ def test_curve_validation():
         ModulusCurve("shift", np.array([0.1, 0.2]), np.array([0.1, 3.0]))
 
 
-def test_report_json_shape(normal_oracle, tmp_path):
+def test_report_json_shape(normal_oracle):
     sigma = pg.dual_modulus_curve(normal_oracle, [0.05, 0.1])
     report = pg.modulus_equivalence_check(normal_oracle, sigma)
     data = report.to_json_dict()
     assert set(data) == {"id", "probes", "fitted_constant", "verdict", "extras"}
     assert all(set(p) == {"eps", "lhs", "rhs", "budget"} for p in data["probes"])
-    report.to_json(tmp_path / "r.json")
-    assert (tmp_path / "r.json").exists()
 
 
 def test_boundary_correction_scales_with_eps(chisq_oracle):
