@@ -159,14 +159,21 @@ def _fits(val, rule) -> bool:
     return isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
 
 
+def _read_text(path: Path, what: str) -> str:
+    if not path.exists():
+        raise InputError(f"{what} file not found: {path}")
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} file {path} is not UTF-8: {exc.reason} "
+                         f"at byte {exc.start}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise InputError(f"config file not found: {path}")
         try:
-            user = json.loads(path.read_text())
+            user = json.loads(_read_text(Path(args.config), "config"))
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid config JSON: {exc}") from exc
         if not isinstance(user, dict):
@@ -202,10 +209,7 @@ def _resolve_polynomial(spec, what: str = "polynomial") -> Polynomial:
     if spec is None:
         raise InputError(f"no {what} given (config field or --poly)")
     if isinstance(spec, str) and not spec.lstrip().startswith("{"):
-        path = Path(spec.removeprefix("@"))
-        if not path.exists():
-            raise InputError(f"{what} file not found: {path}")
-        spec = path.read_text()
+        spec = _read_text(Path(spec.removeprefix("@")), what)
     try:
         return loads(spec) if isinstance(spec, str) else from_json_dict(spec)
     except InputError as exc:

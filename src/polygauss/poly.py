@@ -16,7 +16,6 @@ Variable indices in the public API are 1-based (``x_1 .. x_n``).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -236,6 +235,47 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.n, terms)
 
 
+def _class_counts(params: ClassParams) -> list[list[int]]:
+    """Count table for the exponent tuples in {0..m}^n of total at most d.
+
+    ``table[p][r]`` is the number of tuples over positions p..n-1 whose
+    entries sum to at most r, for r up to ``min(d, n * m)``; row n is all
+    ones (the empty tuple).  Raises ``InputError`` as soon as a count passes
+    the int64 range ``rng.choice`` can draw from, since counts only grow
+    towards row 0.
+    """
+    n, m, d = params.n, params.m, params.d
+    width = min(d, n * m) + 1
+    limit = int(np.iinfo(np.int64).max)
+    table = [[1] * width]
+    for _ in range(n):
+        below = table[-1]
+        row = [sum(below[max(0, r - m) : r + 1]) for r in range(width)]
+        if row[-1] - 1 > limit:
+            raise InputError(
+                f"class (n={n}, m={m}, d={d}) has more than {limit} exponent tuples"
+            )
+        table.append(row)
+    table.reverse()
+    return table
+
+
+def _unrank(table: list[list[int]], rank: int) -> MultiIndex:
+    """The tuple at position ``rank`` among the tuples ``table`` counts, in
+    ``itertools.product(range(m + 1), repeat=n)`` order: at each position,
+    skip the blocks of smaller entries while the rank lies past them."""
+    exps = []
+    r = len(table[0]) - 1
+    for below in table[1:]:
+        e = 0
+        while rank >= below[r - e]:
+            rank -= below[r - e]
+            e += 1
+        exps.append(e)
+        r -= e
+    return tuple(exps)
+
+
 def random_in_class(params: ClassParams, seed: int) -> Polynomial:
     """Draw a random polynomial from the (n, m, d) class, deterministic per seed.
 
@@ -244,20 +284,28 @@ def random_in_class(params: ClassParams, seed: int) -> Polynomial:
     [-1, 1], adds a constant term with probability 1/2, and rescales so that
     the leading magnitude equals 1.  Degenerate draws (constant, or with a
     vanishing leading coefficient) are redrawn from the same stream.
+
+    The admissible tuples are the nonzero ones in {0..m}^n of total at most
+    d, indexed in ``itertools.product`` order.  They are never listed: a
+    count table gives their number, and unranking (Kreher & Stinson,
+    *Combinatorial Algorithms*, ch. 2) turns each drawn index into its
+    tuple.  The zero tuple comes first in that order, so index i is rank
+    i + 1.  This costs O(n * m * min(d, n * m)) for the table and O(n * m)
+    per term, against (m + 1)^n for listing them.  The RNG calls are the
+    ones a draw from the listed tuples makes, so a seed gives the same
+    polynomial either way (``tests/test_poly.py`` pins 120 seeds' draws).
+    A class of more than 2^63 - 1 tuples is an ``InputError``.
     """
-    admissible = [
-        exps
-        for exps in itertools.product(range(params.m + 1), repeat=params.n)
-        if 0 < sum(exps) <= params.d
-    ]
+    table = _class_counts(params)
+    count = table[0][-1] - 1
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pool = min(CLASS_MAX_TERMS, len(admissible))
+    pool = min(CLASS_MAX_TERMS, count)
     for _ in range(100):
         k = int(rng.integers(min(2, pool), pool + 1))
-        chosen = rng.choice(len(admissible), size=k, replace=False)
+        chosen = rng.choice(count, size=k, replace=False)
         terms: dict[MultiIndex, float] = {}
         for idx in chosen:
-            terms[admissible[int(idx)]] = float(rng.uniform(-1.0, 1.0))
+            terms[_unrank(table, int(idx) + 1)] = float(rng.uniform(-1.0, 1.0))
         if rng.uniform() < 0.5:
             terms[(0,) * params.n] = float(rng.uniform(-1.0, 1.0))
         f = Polynomial(params.n, terms)

@@ -12,10 +12,14 @@ checks.
   agree).
 * ``evaluate_expansion`` evaluates a Hermite expansion (``hermite_expand``
   must reproduce the polynomial).
+* ``class_exponents`` lists a class's admissible exponent tuples by walking
+  all (m + 1)^n of them (``random_in_class``'s unranking must index them
+  the same way).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -26,7 +30,7 @@ from scipy.optimize import linprog
 from polygauss.density import SampleSet
 from polygauss.errors import DimensionMismatch
 from polygauss.moments import HermiteExpansion
-from polygauss.poly import Polynomial
+from polygauss.poly import ClassParams, Polynomial
 
 ECF_CHUNK = 1 << 18
 
@@ -175,3 +179,13 @@ def evaluate_expansion(exp: HermiteExpansion, x: np.ndarray) -> np.ndarray:
                 term = term * tables[i][k]
         out += term
     return out
+
+
+def class_exponents(params: ClassParams) -> list[tuple[int, ...]]:
+    """The nonzero tuples in {0..m}^n of total at most d, in
+    ``itertools.product`` order."""
+    return [
+        exps
+        for exps in itertools.product(range(params.m + 1), repeat=params.n)
+        if 0 < sum(exps) <= params.d
+    ]

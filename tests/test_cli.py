@@ -226,6 +226,31 @@ def test_input_errors_exit_3(tmp_path):
                 "--out", str(tmp_path / "x")]) == 3
 
 
+def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
+    import polygauss.cli as cli
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled a member of an undrawable class")
+
+    monkeypatch.setattr(cli, "sample", no_sample)
+    assert run(["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1",
+                "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exponent tuples" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--poly"])
+def test_non_utf8_file_exits_3(tmp_path, capsys, flag):
+    path = tmp_path / "f"
+    path.write_bytes(b"\xff\xfe\x00")
+    arg = str(path) if flag == "--config" else f"@{path}"
+    assert run(["variance", flag, arg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 def test_svg_emission(tmp_path):
     out = tmp_path / "s"
     assert run(["modulus", "--poly", X1X2, "--samples", "200000",

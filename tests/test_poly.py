@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,8 @@ from polygauss.errors import (
 from polygauss.poly import (
     ClassParams,
     Polynomial,
+    _class_counts,
+    _unrank,
     add,
     constant,
     degree,
@@ -35,7 +38,7 @@ from polygauss.poly import (
     variable,
 )
 
-from oracles import evaluate
+from oracles import class_exponents, evaluate
 
 F = Polynomial(2, {(2, 1): 3.0, (1, 2): 1.0, (0, 1): -5.0})  # 3x1^2x2 + x1x2^2 - 5x2
 ZERO2 = Polynomial(2, {})
@@ -220,6 +223,22 @@ FAMILY_DRAWS = (  # ClassParams(3, 1, 3), seeds 1..80
     "0eb91b64ce1e6b17", "5b99844529506d29", "76898b6bd6973e8c", "5c78d75d33198996",
 )
 WIDE_DRAWS = {1: "b37b5bdf1a227dfa", 7: "0e9c506dcc32f8c1"}  # ClassParams(14, 2, 3)
+# ClassParams(14, 2, 3) drawn with the seed `verify-all --n 14 --m 2 --d 3
+# --count 1 --seed s` passes its one member,
+# SeedSequence(s).generate_state(3, dtype=np.uint64)[0], for s = 1..40.  The
+# digests were computed by the draw that listed all 3^14 exponent tuples.
+WIDE_MEMBER_DRAWS = (
+    "b6aab60f56833277", "450cb8b3093ef123", "2bf33e9ecf3851d4", "ba66898917b4e3c0",
+    "9439b56a69a4d8bf", "5d9716c29ab561f4", "d3ce4571bfb30257", "a02725087737370f",
+    "7d6cfad4d59f3247", "0df3768981b64d3c", "57b35703edeb0e60", "e419e5b29fa7cc54",
+    "e11b4a1d3c662998", "9b31b56256fdf316", "0d2dab29996e8735", "ce2508faeaac458c",
+    "9071f0db4f440a95", "4c2a66cdf0952475", "dedb1ab387bf732d", "2fa3ee40838ddfa0",
+    "fbf39cb205e2fc74", "a80cbd9d0e77cbd3", "7f0f4ea26d05336d", "3c2cb57633f97d68",
+    "c7613e40d0daa471", "c2b1cace2c60ade4", "f3152b27daf696fb", "c93a457d244f3713",
+    "746dfc2acb8862ef", "c0b2d0e1535d6e11", "5ef744b303a1e1f8", "d668ebfdbc3a3bf1",
+    "91742b21af709a8f", "72f713b31f11f963", "8c1df7e9764bccda", "bbd49184f4738af0",
+    "29444c9bcb250086", "fdca831c72d6a889", "68799e1fd4f6e107", "d187aa48bd897607",
+)
 
 
 def _draw_digest(params, seed):
@@ -231,6 +250,35 @@ def test_class_draws_are_pinned():
     assert tuple(_draw_digest(family, s) for s in range(1, 81)) == FAMILY_DRAWS
     wide = ClassParams(14, 2, 3)
     assert {s: _draw_digest(wide, s) for s in WIDE_DRAWS} == WIDE_DRAWS
+
+
+def test_verify_wide_member_draws_are_pinned():
+    wide = ClassParams(14, 2, 3)
+    seeds = [
+        int(np.random.SeedSequence(s).generate_state(3, dtype=np.uint64)[0])
+        for s in range(1, 41)
+    ]
+    assert tuple(_draw_digest(wide, s) for s in seeds) == WIDE_MEMBER_DRAWS
+
+
+def test_unranking_matches_enumeration():
+    cases = [(n, m, d) for n in range(1, 7) for m in range(1, 4) for d in range(m, 7)]
+    for params in [ClassParams(*c) for c in cases + [(2, 1, 5)]]:
+        listed = class_exponents(params)
+        table = _class_counts(params)
+        assert table[0][-1] - 1 == len(listed), params
+        assert [_unrank(table, i + 1) for i in range(len(listed))] == listed, params
+
+
+def test_class_draw_is_polynomial_in_n():
+    params = ClassParams(512, 2, 3)  # 22.6M admissible tuples among 3^512
+    start = time.perf_counter()
+    f = random_in_class(params, seed=5)
+    assert time.perf_counter() - start < 0.5
+    assert in_class(f, params)
+    # the table is capped at n * m, so a huge degree cap costs nothing
+    huge_d = ClassParams(2, 3, 10**6)
+    assert in_class(random_in_class(huge_d, seed=5), huge_d)
 
 
 def test_class_params_validation():
