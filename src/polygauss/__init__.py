@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDecay,
     NonpositiveDistance,
     PolyGaussError,
+    ResolutionError,
     UnsupportedKind,
     ZeroPolynomial,
     ZeroScale,

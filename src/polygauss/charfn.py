@@ -22,7 +22,7 @@ import numpy as np
 from .density import SampleSet
 from .errors import InputError, InsufficientDecay
 from .functionals import (
-    BoundReport, EnvelopeParams, ProbeRow, geometric_grid, log_bracket, ols_slope,
+    BoundReport, EnvelopeParams, geometric_grid, log_bracket, ols_slope, scaling_report,
 )
 
 ECF_CHUNK = 1 << 18
@@ -260,27 +260,13 @@ def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:
             "usable probes span less than a decade above the noise floor"
         )
     env = np.array([cf_envelope(p, t) for t in curve.t])
-    ratios = curve.modulus / env
-    c_hat = float(ratios[valid].max())
     fit = valid & (p.lead * curve.t >= 1.0)
+    slope = None
     if fit.sum() >= CF_MIN_FIT_POINTS:
-        slope = ols_slope(np.log(curve.t[fit]), np.log(ratios[fit]))
-        ok = math.isfinite(c_hat) and slope <= CF_SLOPE_TOL
-    else:
-        slope = None
-        ok = math.isfinite(c_hat)
-    rows = [
-        ProbeRow(float(t), float(mod), c_hat * float(e), 4.0 * float(se))
-        for t, mod, e, se, good in zip(
-            curve.t, curve.modulus, env, curve.stderr, valid
-        )
-        if good
-    ]
-    return BoundReport.from_rows(
-        "cf-decay",
-        rows,
-        fitted_constant=c_hat,
-        extra_ok=ok,
+        slope = ols_slope(np.log(curve.t[fit]), np.log(curve.modulus[fit] / env[fit]))
+    return scaling_report(
+        "cf-decay", curve.t[valid], curve.modulus[valid], env[valid],
+        4.0 * curve.stderr[valid], slope, (-math.inf, CF_SLOPE_TOL),
         extras={"ratio_slope": slope, "slope_tol": CF_SLOPE_TOL},
     )
 

@@ -31,15 +31,9 @@ from .density import (
     sample,
     save_samples,
 )
-from .errors import (
-    DegenerateRange,
-    EpsilonBelowResolution,
-    InputError,
-    InsufficientDecay,
-    PolyGaussError,
-    ZeroVariance,
-)
+from .errors import InputError, PolyGaussError, ResolutionError
 from .functionals import (
+    BoundReport,
     EnvelopeParams,
     balancing_epsilon,
     default_probe_grid,
@@ -71,13 +65,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 2
 EXIT_INPUT = 3
 EXIT_RESOLUTION = 4
-
-RESOLUTION_ERRORS = (
-    EpsilonBelowResolution,
-    InsufficientDecay,
-    DegenerateRange,
-    ZeroVariance,
-)
 
 # Ratio-trend window for Monte Carlo modulus curves probed up to eps ~ 1:
 # the envelope's log bracket collapses near the leading magnitude, which
@@ -228,12 +215,14 @@ class _Run:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.out = Path(cfg["out"])
-        self.out.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
         self.timings: dict[str, float] = {}
         self._t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
+        """Where output ``name`` goes; the directory is made on first use, so
+        a run that fails before writing leaves nothing behind."""
+        self.out.mkdir(parents=True, exist_ok=True)
         self.files.append(name)
         return self.out / name
 
@@ -247,15 +236,12 @@ class _Run:
 
     def finish(self) -> None:
         self.mark("total")
-        manifest = {
+        self.write_json("run_manifest.json", {
             "config_hash": _config_hash(self.cfg),
             "tool_version": __version__,
             "files": sorted(self.files),
             "timings": self.timings,
-        }
-        (self.out / "run_manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        })
 
 
 def _sample_and_histogram(
@@ -270,14 +256,14 @@ def _envelope_params(f: Polynomial) -> EnvelopeParams:
     return EnvelopeParams(m=max(1, max_var_power(f)), d=max(1, degree(f)), lead=lead)
 
 
-def _modulus_reports(f: Polynomial, rho: GriddedDensity, cfg: dict):
+def _modulus_reports(rho: GriddedDensity, params: EnvelopeParams, cfg: dict):
     """Probe grid, shift and dual modulus curves, and the envelope and
     equivalence reports built from them: (omega, sigma, envelope, equivalence)."""
     probes = default_probe_grid(rho, **cfg["eps"])
     omega = shift_modulus_curve(rho, probes)
     sigma = dual_modulus_curve(rho, probes)
     env_report = envelope_check(
-        omega, _envelope_params(f), slope_range=MC_SLOPE_RANGE,
+        omega, params, slope_range=MC_SLOPE_RANGE,
         exponent_bias=cfg["corrupt_envelope_exponent"],
     )
     return omega, sigma, env_report, modulus_equivalence_check(rho, sigma)
@@ -330,10 +316,10 @@ def cmd_modulus(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
     s, rho = _sample_and_histogram(f, cfg, cfg["seed"])
+    params = _envelope_params(f)
+    omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
     save_samples(s, run.path("samples.bin"), polynomial=f)
     run.files.append("samples.bin.json")
-    omega, sigma, env_report, equiv_report = _modulus_reports(f, rho, cfg)
-    params = _envelope_params(f)
     run.mark("compute")
     omega.to_csv(run.path("omega.csv"))
     sigma.to_csv(run.path("sigma.csv"))
@@ -392,10 +378,11 @@ def cmd_cf(cfg: dict) -> int:
 
 
 def _distance_reports(
-    f: Polynomial, sf: SampleSet, g: Polynomial, cfg: dict, seed_g: int
-) -> dict:
-    """Distances between f (samples ``sf``) and g (drawn here with ``seed_g``),
-    both histogrammed on the quantile grid of their pooled samples."""
+    params: EnvelopeParams, sf: SampleSet, g: Polynomial, cfg: dict, seed_g: int
+) -> tuple[dict, BoundReport]:
+    """Distances between f (envelope ``params``, samples ``sf``) and g (drawn
+    here with ``seed_g``), both histogrammed on the quantile grid of their
+    pooled samples: the distance report's payload and the two-term report."""
     sg = sample(g, cfg["samples"], seed_g, workers=cfg["workers"])
     both = np.concatenate([sf.values, sg.values])
     rho_f = histogram_density(sf, cfg["grid"], span=both)
@@ -403,7 +390,6 @@ def _distance_reports(
     report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
     tv = report.extras["tv"]
     kr = report.extras["kr"]
-    params = _envelope_params(f)
     if kr > 1e-9:
         eps_star = balancing_epsilon(kr, params.m, params.d)
         ratio = tv_kr_rate_ratio(tv, kr, params.m, params.d)
@@ -417,8 +403,8 @@ def _distance_reports(
         "balancing_eps": eps_star,
         "balancing_eps_in_range": None if eps_star is None else bool(0 < eps_star < 1),
         "rate_ratio": ratio,
-        "verdict": bool(report.verdict and kr <= tv + 1e-9),
-    }
+        "verdict": report.verdict,
+    }, report
 
 
 def cmd_distance(cfg: dict) -> int:
@@ -426,7 +412,7 @@ def cmd_distance(cfg: dict) -> int:
     g = _resolve_polynomial(cfg["polynomial_b"], what="polynomial_b")
     run = _Run(cfg)
     sf = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    payload = _distance_reports(f, sf, g, cfg, cfg["seed"] + 1)
+    payload, _ = _distance_reports(_envelope_params(f), sf, g, cfg, cfg["seed"] + 1)
     run.mark("compute")
     run.write_json("distance_report.json", payload)
     run.finish()
@@ -452,51 +438,36 @@ def cmd_verify_all(cfg: dict) -> int:
     )
     families: dict[str, dict] = {}
 
-    def record(name: str, passed: bool, margin: float) -> None:
+    def record(report: BoundReport) -> None:
         slot = families.setdefault(
-            name, {"passed": 0, "total": 0, "worst_margin": math.inf}
+            report.check_id, {"passed": 0, "total": 0, "worst_margin": math.inf}
         )
         slot["total"] += 1
-        slot["passed"] += int(passed)
-        slot["worst_margin"] = min(slot["worst_margin"], margin)
+        slot["passed"] += int(report.verdict)
+        slot["worst_margin"] = min(slot["worst_margin"], report.worst_margin)
 
     for k in range(count):
         f = random_in_class(params, int(seeds[3 * k]))
         s, rho = _sample_and_histogram(f, cfg, int(seeds[3 * k + 1]))
-        _, sigma, env_report, report = _modulus_reports(f, rho, cfg)
-        record("modulus-equivalence", report.verdict, report.worst_margin)
+        env_params = _envelope_params(f)
+        _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
+        record(equiv_report)
 
         med = float(np.median(s.values))
         std = float(np.std(s.values))
         intervals = [
             (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)
         ]
-        report = small_set_check(ecdf(s), s.count, rho, intervals)
-        record("small-set", report.verdict, report.worst_margin)
-
-        lo_s, hi_s = env_report.extras["slope_range"]
-        slope = env_report.extras["ratio_slope"]
-        record("modulus-envelope", env_report.verdict,
-               min(hi_s - slope, slope - lo_s))
-
-        env_params = _envelope_params(f)
-        report = degree_envelope_check(variance(f), sigma, env_params.d)
-        record("degree-envelope", report.verdict,
-               report.extras["slope"] - report.extras["slope_floor"])
+        record(small_set_check(ecdf(s), s.count, rho, intervals))
+        record(env_report)
+        record(degree_envelope_check(variance(f), sigma, env_params.d))
 
         cf_sub = SampleSet(s.values[: cfg["cf_samples"]], s.seed)
         curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
-        report = cf_decay_check(curve, env_params)
-        slope = report.extras["ratio_slope"]
-        record("cf-decay", report.verdict,
-               math.inf if slope is None else report.extras["slope_tol"] - slope)
+        record(cf_decay_check(curve, env_params))
 
         g = add(f, scale(variable(params.n, 1), cfg["perturbation"]))
-        dist = _distance_reports(f, s, g, cfg, int(seeds[3 * k + 2]))
-        worst = min(
-            r["rhs"] - r["lhs"] for r in dist["two_term_bound"]["probes"]
-        ) if dist["two_term_bound"]["probes"] else math.inf
-        record("tv-vs-kr", dist["verdict"], worst)
+        record(_distance_reports(env_params, s, g, cfg, int(seeds[3 * k + 2]))[1])
 
     verdict = all(v["passed"] == v["total"] for v in families.values())
     for name, slot in families.items():
@@ -535,7 +506,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
         return DISPATCH[args.command](cfg)
-    except RESOLUTION_ERRORS as exc:
+    except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
     except (PolyGaussError, OSError) as exc:

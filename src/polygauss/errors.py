@@ -10,6 +10,10 @@ class PolyGaussError(Exception):
     """Base class for all package errors."""
 
 
+class ResolutionError(PolyGaussError):
+    """The estimate is too coarse or too noisy to decide the question."""
+
+
 class InputError(PolyGaussError, ValueError):
     """Malformed user input: bad JSON, bad config, inconsistent arguments."""
 
@@ -34,7 +38,7 @@ class DegreeExceedsCap(PolyGaussError, ValueError):
     """A univariate polynomial exceeds the stated degree cap."""
 
 
-class DegenerateRange(PolyGaussError, ValueError):
+class DegenerateRange(ResolutionError, ValueError):
     """All samples coincide; no density grid can be built."""
 
 
@@ -42,7 +46,7 @@ class UnsupportedKind(PolyGaussError, ValueError):
     """Unknown closed-form density kind."""
 
 
-class EpsilonBelowResolution(PolyGaussError, ValueError):
+class EpsilonBelowResolution(ResolutionError, ValueError):
     """A shift-modulus probe is below twice the grid step."""
 
 
@@ -50,7 +54,7 @@ class GridMismatch(PolyGaussError, ValueError):
     """Two gridded densities could not be aligned to a common grid."""
 
 
-class ZeroVariance(PolyGaussError, ValueError):
+class ZeroVariance(ResolutionError, ValueError):
     """A check that needs a non-degenerate distribution got variance zero."""
 
 
@@ -58,5 +62,5 @@ class NonpositiveDistance(PolyGaussError, ValueError):
     """A distance expected to be positive was zero or negative."""
 
 
-class InsufficientDecay(PolyGaussError, ValueError):
+class InsufficientDecay(ResolutionError, ValueError):
     """All characteristic-function moduli sit in the Monte Carlo noise floor."""

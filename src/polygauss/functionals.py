@@ -131,17 +131,20 @@ class ProbeRow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-inequality verdict with probe table and fitted constant."""
+    """Per-inequality verdict with probe table, fitted constant and margin.
+
+    ``worst_margin`` is how far the check is from failing: the smallest
+    rhs - lhs over the rows for a pointwise inequality, or for a scaling law
+    the slope's distance to the nearer end of its window (inf without a
+    trend).  It is not part of the JSON form.
+    """
 
     check_id: str
     rows: tuple[ProbeRow, ...]
     fitted_constant: float | None = None
     verdict: bool = True
     extras: dict = field(default_factory=dict)
-
-    @property
-    def worst_margin(self) -> float:
-        return min((r.margin for r in self.rows), default=math.inf)
+    worst_margin: float = math.inf
 
     @staticmethod
     def from_rows(
@@ -150,10 +153,14 @@ class BoundReport:
         fitted_constant: float | None = None,
         extra_ok: bool = True,
         extras: dict | None = None,
+        worst_margin: float | None = None,
     ) -> "BoundReport":
-        verdict = extra_ok and all(r.passed for r in rows)
+        verdict = bool(extra_ok) and all(r.passed for r in rows)
+        if worst_margin is None:
+            worst_margin = min((r.margin for r in rows), default=math.inf)
         return BoundReport(
-            check_id, tuple(rows), fitted_constant, verdict, dict(extras or {})
+            check_id, tuple(rows), fitted_constant, verdict, dict(extras or {}),
+            worst_margin,
         )
 
     def to_json_dict(self) -> dict:
@@ -379,11 +386,44 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def scaling_report(
+    check_id: str,
+    x: np.ndarray,
+    vals: np.ndarray,
+    env: np.ndarray,
+    budgets,
+    slope: float | None,
+    window: tuple[float, float],
+    extras: dict,
+) -> BoundReport:
+    """Verdict of a scaling law vals <= C * env with C depending only on (m, d).
+
+    Fits C as the largest vals / env, and tabulates (x, val, C * env,
+    budget).  The margin is the log-log trend ``slope``'s distance to the
+    nearer end of the closed ``window`` (an infinite end leaves that side
+    open), inf when ``slope`` is None because there is no trend to test.
+    Passes when C is finite and the margin is not negative.
+    """
+    c_hat = float((vals / env).max())
+    rows = [
+        ProbeRow(float(a), float(v), c_hat * float(e), float(b))
+        for a, v, e, b in zip(x, vals, env, np.broadcast_to(budgets, np.shape(x)))
+    ]
+    lo, hi = window
+    margin = math.inf if slope is None else min(hi - slope, slope - lo)
+    return BoundReport.from_rows(
+        check_id, rows, fitted_constant=c_hat, extra_ok=math.isfinite(c_hat) and margin >= 0,
+        extras=extras, worst_margin=margin,
+    )
+
+
 @dataclass(frozen=True)
 class EnvelopeFit:
     """Fitted constant and exponent diagnostics for a modulus curve.
 
     c_hat:          max of value / envelope over the fitted probes.
+    envelope:       the envelope at those probes.
+    ratios:         value / envelope at those probes.
     ratio_slope:    log-log trend of that ratio (0 for a perfect fit; a
                     negative trend means the ratio grows as eps shrinks,
                     i.e. the envelope is violated asymptotically).
@@ -394,6 +434,7 @@ class EnvelopeFit:
     """
 
     c_hat: float
+    envelope: np.ndarray
     ratios: np.ndarray
     ratio_slope: float
     slope_loglog: float
@@ -414,6 +455,7 @@ def fit_envelope(
     log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
     return EnvelopeFit(
         c_hat=float(ratios.max()),
+        envelope=env,
         ratios=ratios,
         ratio_slope=ols_slope(log_eps, np.log(ratios)),
         slope_loglog=ols_slope(log_eps, np.log(vals)),
@@ -438,21 +480,13 @@ def envelope_check(
     collapses as eps approaches the leading magnitude.
     """
     fit = fit_envelope(curve, p, exponent_bias)
-    lo_s, hi_s = slope_range
-    rows = [
-        ProbeRow(float(e), float(v), fit.c_hat * modulus_envelope(p, e, exponent_bias), 1e-12)
-        for e, v in zip(curve.eps, curve.values)
-        if v > 0
-    ]
-    ok = math.isfinite(fit.c_hat) and lo_s <= fit.ratio_slope <= hi_s
-    return BoundReport.from_rows(
-        "modulus-envelope",
-        rows,
-        fitted_constant=fit.c_hat,
-        extra_ok=ok,
+    keep = curve.values > 0
+    return scaling_report(
+        "modulus-envelope", curve.eps[keep], curve.values[keep], fit.envelope, 1e-12,
+        fit.ratio_slope, slope_range,
         extras={
             "ratio_slope": fit.ratio_slope,
-            "slope_range": [lo_s, hi_s],
+            "slope_range": list(slope_range),
             "slope_loglog": fit.slope_loglog,
             "slope_adjusted": fit.slope_adjusted,
             "expected_exponent": 1.0 / p.m,
@@ -472,20 +506,11 @@ def degree_envelope_check(
     if keep.sum() < 3:
         raise InputError("degree envelope fit needs at least 3 positive points")
     eps, vals = curve.eps[keep], curve.values[keep]
-    env = var ** (-0.5 / d) * eps ** (1.0 / d)
-    c_hat = float((vals / env).max())
+    window = (1.0 / d - 0.1, math.inf)
     slope = ols_slope(np.log(eps), np.log(vals))
-    ok = slope >= 1.0 / d - 0.1
-    rows = [
-        ProbeRow(float(e), float(v), c_hat * var ** (-0.5 / d) * e ** (1.0 / d), 1e-12)
-        for e, v in zip(eps, vals)
-    ]
-    return BoundReport.from_rows(
-        "degree-envelope",
-        rows,
-        fitted_constant=c_hat,
-        extra_ok=ok,
-        extras={"slope": slope, "slope_floor": 1.0 / d - 0.1, "variance": var},
+    return scaling_report(
+        "degree-envelope", eps, vals, var ** (-0.5 / d) * eps ** (1.0 / d), 1e-12,
+        slope, window, extras={"slope": slope, "slope_floor": window[0], "variance": var},
     )
 
 
@@ -528,7 +553,8 @@ def kr_distance(x: GriddedDensity, y: GriddedDensity) -> float:
 def tv_vs_kr_check(
     x: GriddedDensity, y: GriddedDensity, eps_values
 ) -> BoundReport:
-    """d_TV <= 6 max(sigma_X(eps), sigma_Y(eps)) + d_KR / eps on probes in (0,1)."""
+    """d_TV <= 6 max(sigma_X(eps), sigma_Y(eps)) + d_KR / eps on probes in (0,1),
+    and d_KR <= d_TV."""
     eps_arr = np.asarray(list(eps_values), dtype=np.float64)
     if np.any((eps_arr <= 0) | (eps_arr >= 1)):
         raise InputError("probes must lie in (0, 1)")
@@ -542,7 +568,8 @@ def tv_vs_kr_check(
         budget = (7.0 + 1.0 / eps) * base
         rows.append(ProbeRow(float(eps), tv, rhs, budget))
     return BoundReport.from_rows(
-        "tv-vs-kr", rows, extras={"tv": tv, "kr": kr, "budget_base": base}
+        "tv-vs-kr", rows, extra_ok=kr <= tv + 1e-9,
+        extras={"tv": tv, "kr": kr, "budget_base": base},
     )
 
 

@@ -173,6 +173,23 @@ def test_trend_skipped_for_fast_decay():
     assert report.extras["ratio_slope"] is None
 
 
+def test_decay_margin_is_slope_below_tolerance(x1_samples, x1sq_samples):
+    cases = [
+        (x1_samples, pg.default_t_grid(), pg.EnvelopeParams(m=1, d=1)),
+        (x1sq_samples, pg.default_t_grid(), pg.EnvelopeParams(m=2, d=2)),
+        (pg.sample(scale(monomial(1, (1,)), 3.0), 200_000, seed=5),
+         pg.default_t_grid(0.01, 1e3), pg.EnvelopeParams(m=1, d=2, lead=1.0)),
+    ]
+    slopes = []
+    for s, ts, p in cases:
+        report = pg.cf_decay_check(pg.ecf_modulus(s, ts), p)
+        slope = report.extras["ratio_slope"]
+        slopes.append(slope)
+        expected = math.inf if slope is None else report.extras["slope_tol"] - slope
+        assert report.worst_margin == expected
+    assert slopes[0] is not None and slopes[-1] is None
+
+
 def test_decay_exponents():
     assert pg.decay_exponents(pg.EnvelopeParams(m=1, d=2), 2) == (1.0, 1.0)
     assert pg.decay_exponents(pg.EnvelopeParams(m=2, d=2), 4) == (0.0, 4.5)

@@ -10,6 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygauss.cli import main
+from polygauss.errors import (
+    DegenerateRange,
+    EpsilonBelowResolution,
+    InsufficientDecay,
+    ResolutionError,
+    ZeroVariance,
+)
 from polygauss.poly import dumps, monomial
 
 X1X2 = dumps(monomial(2, (1, 1)))
@@ -238,6 +245,22 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exponent tuples" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1"], 3),
+    (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [0], "coef": 2.0}]}'], 4),
+])
+def test_failed_run_leaves_no_output_directory(tmp_path, argv, code):
+    assert run([*argv, "--out", str(tmp_path / "big")]) == code
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("error", [
+    EpsilonBelowResolution, InsufficientDecay, DegenerateRange, ZeroVariance,
+])
+def test_exit_4_errors_are_resolution_errors(error):
+    assert issubclass(error, ResolutionError) and issubclass(error, ValueError)
 
 
 @pytest.mark.parametrize("flag", ["--config", "--poly"])

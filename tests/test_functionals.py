@@ -295,6 +295,45 @@ def test_degree_envelope_rejects_zero_variance(normal_oracle):
         pg.degree_envelope_check(0.0, curve, d=2)
 
 
+def row_margin(report):
+    return min(r.rhs - r.lhs for r in report.rows)
+
+
+def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle):
+    curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
+    p = pg.EnvelopeParams(m=1, d=1)
+    for lo, hi in [(-0.15, 0.15), (-0.6, 1.0)]:
+        for bias in (0.0, -0.5):
+            report = pg.envelope_check(curve, p, (lo, hi), exponent_bias=bias)
+            s = report.extras["ratio_slope"]
+            assert report.worst_margin == min(hi - s, s - lo)
+            assert report.verdict == (report.worst_margin >= 0)
+
+
+def test_degree_envelope_margin_is_slope_above_floor(normal_oracle, chisq_oracle):
+    for rho, var, d in [(normal_oracle, 1.0, 1), (chisq_oracle, 2.0, 2)]:
+        sigma = pg.dual_modulus_curve(rho, np.geomspace(0.02, 0.3, 12))
+        report = pg.degree_envelope_check(var, sigma, d)
+        assert report.worst_margin == report.extras["slope"] - report.extras["slope_floor"]
+
+
+def test_row_check_margins_are_smallest_rhs_minus_lhs(
+    normal_oracle, chisq_oracle, product_oracle, x1_samples
+):
+    for rho in (normal_oracle, chisq_oracle, product_oracle):
+        probes = pg.default_probe_grid(rho)
+        report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
+        assert report.worst_margin == row_margin(report)
+    h = pg.histogram_density(x1_samples, 400)
+    report = pg.small_set_check(
+        pg.ecdf(x1_samples), x1_samples.count, h, [(-0.05, 0.05), (-0.5, 0.5)]
+    )
+    assert report.worst_margin == row_margin(report)
+    far = pg.oracle_density("normal", 2.0, 10.0, 2048, mu=6.0)
+    report = pg.tv_vs_kr_check(normal_oracle, far, np.geomspace(0.05, 0.9, 6))
+    assert report.worst_margin == row_margin(report)
+
+
 # --- distances --------------------------------------------------------------------
 
 
@@ -360,6 +399,18 @@ def test_tv_vs_kr_far_shift(normal_oracle):
     far = pg.oracle_density("normal", 2.0, 10.0, 2048, mu=6.0)
     report = pg.tv_vs_kr_check(normal_oracle, far, np.geomspace(0.05, 0.9, 6))
     assert report.verdict  # the kr/eps term carries the bound
+
+
+def test_tv_vs_kr_check_fails_when_kr_exceeds_tv(normal_oracle, monkeypatch):
+    import polygauss.functionals as functionals
+
+    shifted = pg.oracle_density("normal", -4.0, 4.0, 2048, mu=0.3)
+    monkeypatch.setattr(
+        functionals, "kr_distance", lambda x, y: functionals.tv_distance(x, y) + 0.5
+    )
+    report = pg.tv_vs_kr_check(normal_oracle, shifted, [0.1, 0.5])
+    assert all(r.passed for r in report.rows)
+    assert not report.verdict
 
 
 def test_balancing_epsilon():
