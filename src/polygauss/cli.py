@@ -12,6 +12,7 @@ Exit codes: 0 all verdicts pass, 2 verdict failure, 3 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -210,13 +211,15 @@ def _config_hash(cfg: dict) -> str:
 
 
 class _Run:
-    """Collects output files and timings for the run manifest."""
+    """Collects output files, per-stage wall times and work counters for the
+    run manifest."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.out = Path(cfg["out"])
         self.files: list[str] = []
         self.timings: dict[str, float] = {}
+        self.counters: dict[str, int] = {}
         self._t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
@@ -231,24 +234,42 @@ class _Run:
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
 
-    def mark(self, label: str) -> None:
-        self.timings[label] = time.perf_counter() - self._t0
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Add the wall time of the ``with`` body to stage ``name``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+
+    def count(self, name: str, k: int) -> None:
+        self.counters[name] = self.counters.get(name, 0) + k
 
     def finish(self) -> None:
-        self.mark("total")
+        self.timings["total"] = time.perf_counter() - self._t0
         self.write_json("run_manifest.json", {
             "config_hash": _config_hash(self.cfg),
             "tool_version": __version__,
             "files": sorted(self.files),
             "timings": self.timings,
+            "counters": self.counters,
         })
 
 
+def _sample(run: _Run, f: Polynomial, cfg: dict, seed: int) -> SampleSet:
+    with run.stage("sample"):
+        s = sample(f, cfg["samples"], seed, workers=cfg["workers"])
+    run.count("samples_drawn", s.count)
+    return s
+
+
 def _sample_and_histogram(
-    f: Polynomial, cfg: dict, seed: int
+    run: _Run, f: Polynomial, cfg: dict, seed: int
 ) -> tuple[SampleSet, GriddedDensity]:
-    s = sample(f, cfg["samples"], seed, workers=cfg["workers"])
-    return s, histogram_density(s, cfg["grid"])
+    s = _sample(run, f, cfg, seed)
+    with run.stage("histogram"):
+        return s, histogram_density(s, cfg["grid"])
 
 
 def _envelope_params(f: Polynomial) -> EnvelopeParams:
@@ -284,11 +305,10 @@ def cmd_variance(cfg: dict) -> int:
     run = _Run(cfg)
     v_moment = variance(f)
     v_hermite = variance_via_hermite(f)
-    s = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    s = _sample(run, f, cfg, cfg["seed"])
     mc = float(np.var(s.values))
     m4 = float(np.mean((s.values - s.values.mean()) ** 4))
     se = math.sqrt(max(m4 - mc * mc, 0.0) / s.count)
-    run.mark("compute")
     rel_gap = abs(v_moment - v_hermite) / (1.0 + abs(v_moment))
     methods_ok = rel_gap <= 1e-9
     mc_ok = abs(mc - v_moment) <= 4.0 * se + 1e-12
@@ -315,12 +335,12 @@ def cmd_variance(cfg: dict) -> int:
 def cmd_modulus(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
-    s, rho = _sample_and_histogram(f, cfg, cfg["seed"])
+    s, rho = _sample_and_histogram(run, f, cfg, cfg["seed"])
     params = _envelope_params(f)
-    omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
+    with run.stage("checks"):
+        omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
     save_samples(s, run.path("samples.bin"), polynomial=f)
     run.files.append("samples.bin.json")
-    run.mark("compute")
     omega.to_csv(run.path("omega.csv"))
     sigma.to_csv(run.path("sigma.csv"))
     with open(run.path("envelope_ratios.csv"), "w") as fh:
@@ -350,12 +370,12 @@ def cmd_modulus(cfg: dict) -> int:
 def cmd_cf(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
-    s = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    curve = ecf_modulus(s, default_t_grid(**cfg["t"]))
+    s = _sample(run, f, cfg, cfg["seed"])
     params = _envelope_params(f)
-    report = cf_decay_check(curve, params)
+    with run.stage("checks"):
+        curve = ecf_modulus(s, default_t_grid(**cfg["t"]))
+        report = cf_decay_check(curve, params)
     alpha_new, alpha_prior = decay_exponents(params, f.n)
-    run.mark("compute")
     curve.to_csv(run.path("cf_curve.csv"))
     run.write_json("cf_report.json", {
         "decay": report.to_json_dict(),
@@ -378,16 +398,19 @@ def cmd_cf(cfg: dict) -> int:
 
 
 def _distance_reports(
-    params: EnvelopeParams, sf: SampleSet, g: Polynomial, cfg: dict, seed_g: int
+    run: _Run, params: EnvelopeParams, sf: SampleSet, g: Polynomial, cfg: dict,
+    seed_g: int,
 ) -> tuple[dict, BoundReport]:
     """Distances between f (envelope ``params``, samples ``sf``) and g (drawn
     here with ``seed_g``), both histogrammed on the quantile grid of their
     pooled samples: the distance report's payload and the two-term report."""
-    sg = sample(g, cfg["samples"], seed_g, workers=cfg["workers"])
-    both = np.concatenate([sf.values, sg.values])
-    rho_f = histogram_density(sf, cfg["grid"], span=both)
-    rho_g = histogram_density(sg, cfg["grid"], span=both)
-    report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
+    sg = _sample(run, g, cfg, seed_g)
+    with run.stage("histogram"):
+        both = np.concatenate([sf.values, sg.values])
+        rho_f = histogram_density(sf, cfg["grid"], span=both)
+        rho_g = histogram_density(sg, cfg["grid"], span=both)
+    with run.stage("checks"):
+        report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
     tv = report.extras["tv"]
     kr = report.extras["kr"]
     if kr > 1e-9:
@@ -411,9 +434,8 @@ def cmd_distance(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     g = _resolve_polynomial(cfg["polynomial_b"], what="polynomial_b")
     run = _Run(cfg)
-    sf = sample(f, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    payload, _ = _distance_reports(_envelope_params(f), sf, g, cfg, cfg["seed"] + 1)
-    run.mark("compute")
+    sf = _sample(run, f, cfg, cfg["seed"])
+    payload, _ = _distance_reports(run, _envelope_params(f), sf, g, cfg, cfg["seed"] + 1)
     run.write_json("distance_report.json", payload)
     run.finish()
     print(f"tv = {payload['tv']:.6g}   kr = {payload['kr']:.6g}")
@@ -447,27 +469,29 @@ def cmd_verify_all(cfg: dict) -> int:
         slot["worst_margin"] = min(slot["worst_margin"], report.worst_margin)
 
     for k in range(count):
-        f = random_in_class(params, int(seeds[3 * k]))
-        s, rho = _sample_and_histogram(f, cfg, int(seeds[3 * k + 1]))
+        with run.stage("draw"):
+            f = random_in_class(params, int(seeds[3 * k]))
+        s, rho = _sample_and_histogram(run, f, cfg, int(seeds[3 * k + 1]))
         env_params = _envelope_params(f)
-        _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
-        record(equiv_report)
+        with run.stage("checks"):
+            _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
+            record(equiv_report)
 
-        med = float(np.median(s.values))
-        std = float(np.std(s.values))
-        intervals = [
-            (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)
-        ]
-        record(small_set_check(ecdf(s), s.count, rho, intervals))
-        record(env_report)
-        record(degree_envelope_check(variance(f), sigma, env_params.d))
+            med = float(np.median(s.values))
+            std = float(np.std(s.values))
+            intervals = [
+                (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)
+            ]
+            record(small_set_check(ecdf(s), s.count, rho, intervals))
+            record(env_report)
+            record(degree_envelope_check(variance(f), sigma, env_params.d))
 
-        cf_sub = SampleSet(s.values[: cfg["cf_samples"]], s.seed)
-        curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
-        record(cf_decay_check(curve, env_params))
+            cf_sub = SampleSet(s.values[: cfg["cf_samples"]], s.seed)
+            curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
+            record(cf_decay_check(curve, env_params))
 
         g = add(f, scale(variable(params.n, 1), cfg["perturbation"]))
-        record(_distance_reports(env_params, s, g, cfg, int(seeds[3 * k + 2]))[1])
+        record(_distance_reports(run, env_params, s, g, cfg, int(seeds[3 * k + 2]))[1])
 
     verdict = all(v["passed"] == v["total"] for v in families.values())
     for name, slot in families.items():

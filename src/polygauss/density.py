@@ -11,7 +11,12 @@ Sampling is deterministic and reproducible: the stream is a Philox counter-
 based generator keyed through ``numpy.random.SeedSequence(seed).spawn``, one
 substream per fixed-size chunk of the output, with normals drawn by numpy's
 ziggurat method.  Results are bit-identical for any worker count because
-chunk boundaries are fixed and chunks are reassembled in index order.
+chunk boundaries are fixed and each chunk writes its own slice of the output.
+Inside a chunk, rows are drawn and evaluated in blocks of about
+``BLOCK_BYTES`` of normals, so memory does not grow with n times the chunk
+size.  Consecutive draws from one generator continue its stream exactly, and
+each value is computed from its own row alone, so the block size changes no
+value: the stream is the one a single (chunk, n) draw would give.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import DegenerateRange, InputError, UnsupportedKind
 from .poly import Polynomial, evaluate_batch, from_json_dict, to_json_dict
 
 SAMPLE_CHUNK = 1 << 20
+BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
 MASS_TOL = 1e-3
 TAIL_QUANTILE = 1e-4
 
@@ -61,24 +67,29 @@ def sample(
         raise InputError(f"need at least one sample, got {n_samples}")
     n_chunks = (n_samples + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    # the floor keeps per-block Python overhead small next to the arithmetic
+    rows = max(4096, BLOCK_BYTES // (8 * f.n))
+    values = np.empty(n_samples)
 
-    def draw(i: int) -> np.ndarray:
-        lo = i * SAMPLE_CHUNK
-        size = min(SAMPLE_CHUNK, n_samples - lo)
+    def draw(i: int) -> None:
         gen = np.random.Generator(np.random.Philox(children[i]))
-        z = gen.standard_normal((size, f.n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = evaluate_batch(f, z)
-        if not np.isfinite(values).all():
-            raise InputError("polynomial values overflow a float at some samples")
-        return values
+        end = min((i + 1) * SAMPLE_CHUNK, n_samples)
+        for lo in range(i * SAMPLE_CHUNK, end, rows):
+            hi = min(lo + rows, end)
+            z = gen.standard_normal((hi - lo, f.n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = evaluate_batch(f, z)
+            if not np.isfinite(block).all():
+                raise InputError("polynomial values overflow a float at some samples")
+            values[lo:hi] = block
 
     if workers <= 1 or n_chunks == 1:
-        parts = [draw(i) for i in range(n_chunks)]
+        for i in range(n_chunks):
+            draw(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(draw, range(n_chunks)))
-    return SampleSet(np.concatenate(parts) if len(parts) > 1 else parts[0], seed)
+            list(pool.map(draw, range(n_chunks)))
+    return SampleSet(values, seed)
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,11 @@ def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
 
     Each variable's powers come from one running product, of which only the
     exponents some term uses are kept, so memory does not grow with the
-    degree; the cost is O(terms * n * N) multiplies.
+    degree; the cost is O(terms * n * N) multiplies.  Each term is built in
+    one buffer, ``coef * p_first`` and then ``*= p`` for its other factors,
+    and added to a sum that starts from zeros: the rounding of every value
+    depends only on its own row, so evaluating the rows in blocks gives the
+    same bits as evaluating them at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != f.n:
@@ -182,11 +186,15 @@ def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
                 col[e] = power
         pows.append(col)
     out = np.zeros(x.shape[0])
+    term = np.empty(x.shape[0])
     for exps, coef in f.terms.items():
-        term = np.full(x.shape[0], coef)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * pows[i][e]
+        factors = [pows[i][e] for i, e in enumerate(exps) if e]
+        if not factors:
+            out += coef
+            continue
+        np.multiply(coef, factors[0], out=term)
+        for p in factors[1:]:
+            term *= p
         out += term
     return out
 

@@ -169,6 +169,14 @@ def test_verify_all_small_family(tmp_path):
     assert summary["verdict"] is True
     assert len(summary["checks"]) == 6
     assert all(v["passed"] == v["total"] == 2 for v in summary["checks"].values())
+    manifest = json.loads((tmp_path / "va" / "run_manifest.json").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"draw", "sample", "histogram", "checks", "total"}
+    assert all(t >= 0.0 for t in timings.values())
+    stages = sum(t for name, t in timings.items() if name != "total")
+    assert stages <= timings["total"]
+    # two members, each drawing f and its perturbation g
+    assert manifest["counters"] == {"samples_drawn": 2 * 2 * 150_000}
 
 
 def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
@@ -218,7 +226,9 @@ def test_manifest_references_all_outputs(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     on_disk = {p.name for p in out.iterdir()} - {"run_manifest.json"}
     assert set(manifest["files"]) == on_disk
-    assert "config_hash" in manifest and "timings" in manifest
+    assert "config_hash" in manifest
+    assert set(manifest["timings"]) == {"sample", "histogram", "checks", "total"}
+    assert manifest["counters"] == {"samples_drawn": 200_000}
 
 
 def test_input_errors_exit_3(tmp_path):

@@ -1,13 +1,25 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import k0, ndtr
 
 import polygauss as pg
-from polygauss.density import product_normal_pdf, resample_density
+import polygauss.density as density
+from polygauss.density import SAMPLE_CHUNK, product_normal_pdf, resample_density
 from polygauss.errors import DegenerateRange, InputError, UnsupportedKind
-from polygauss.poly import Polynomial, constant, monomial
+from polygauss.poly import (
+    ClassParams,
+    Polynomial,
+    add,
+    constant,
+    monomial,
+    random_in_class,
+    scale,
+    variable,
+)
 
 
 def test_sample_determinism_and_worker_independence():
@@ -28,6 +40,102 @@ def test_sample_worker_independence_across_chunks():
     a = pg.sample(f, n, seed=9, workers=1)
     b = pg.sample(f, n, seed=9, workers=8)
     assert np.array_equal(a.values, b.values)
+
+
+# sha256 of sample(...).values at 200k samples for verify-all members: f and
+# g = f + 0.1*x1, each drawn with the seed `verify-all --count 1 --seed s`
+# derives for it.  Any rewrite of sampling must keep the stream bit-identical.
+STREAM_DIGESTS = {
+    ((14, 2, 3), 1): (
+        "28ae5352733382bc938cd751f8bfd5001b37755f041c811cd83658bd4a1213c1",
+        "417136f200896a458b5a00b41a656469787b3525f8f4669277f874a5d30a04fb",
+    ),
+    ((14, 2, 3), 5): (
+        "7516f3aae0258ee80ac9a1a4739ab9e519a6e60b072da203c29817019f4a65e3",
+        "d1b35a1c9f03f0c778412927654d0989b8272d9d600a973b839ae7f06574270e",
+    ),
+    ((14, 2, 3), 7): (
+        "d5822b9f563bb3cdd2a4e6b5bcf84f2e12a0938d298e25467a3b8793a7424dd3",
+        "5ed722ac998dccfa5cf77cff94d8d8861f64945312d91870fb111a431ef6bcd3",
+    ),
+    ((3, 1, 3), 1): (
+        "2552fa2b98b75ec4b00bbdfc9b23526f0ef9547f3dc2f3a214ef48575ac613a7",
+        "ddd145d24ca5e14fb33c2aa63be49879aefba6622ffce39a83eafc7a73c6b5b8",
+    ),
+    ((3, 1, 3), 3): (
+        "626e939cda05f8ddb99229eaa33932e2850f23dc3b093f7ca1ba0cd85527339b",
+        "10b49adca8ef9f28cc86c4ca5c0566d77fd11b40900d932fb2cdfaf90541d6c8",
+    ),
+}
+# The same for (1 << 20) + 12_345 values (two chunks) of the first wide member's f.
+TWO_CHUNK_DIGEST = "44b385831c56b6dc16dff07e2af7a41fe18cb1f6f0e917eeb0a9faa4375353e4"
+
+
+def _member_draws(params: ClassParams, s: int):
+    """(polynomial, sample seed) of f and g for verify-all member seed s."""
+    seeds = np.random.SeedSequence(s).generate_state(3, dtype=np.uint64)
+    f = random_in_class(params, int(seeds[0]))
+    g = add(f, scale(variable(params.n, 1), 0.1))
+    return [(f, int(seeds[1])), (g, int(seeds[2]))]
+
+
+def _values_digest(s) -> str:
+    return hashlib.sha256(s.values.tobytes()).hexdigest()
+
+
+def test_sample_stream_is_pinned():
+    for (nmd, s), want in STREAM_DIGESTS.items():
+        draws = _member_draws(ClassParams(*nmd), s)
+        got = tuple(_values_digest(pg.sample(p, 200_000, seed)) for p, seed in draws)
+        assert got == want, (nmd, s)
+    (f, seed), _ = _member_draws(ClassParams(14, 2, 3), 1)
+    for workers in (1, 2):
+        s = pg.sample(f, (1 << 20) + 12_345, seed, workers=workers)
+        assert _values_digest(s) == TWO_CHUNK_DIGEST, workers
+
+
+def test_sample_values_do_not_depend_on_block_size(monkeypatch):
+    f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25, (0, 0, 0): 2.0})
+    n = SAMPLE_CHUNK + 12_345  # two chunks; no block size divides either
+    want = pg.sample(f, n, seed=11).values
+    for block_bytes in (1, 8 * f.n * 2 * SAMPLE_CHUNK):  # 4096 rows; whole chunks
+        monkeypatch.setattr(density, "BLOCK_BYTES", block_bytes)
+        for workers in (1, 2):
+            got = pg.sample(f, n, seed=11, workers=workers).values
+            assert np.array_equal(got, want), (block_bytes, workers)
+
+
+def test_sample_checks_overflow_in_the_last_block(monkeypatch):
+    f = monomial(2, (1, 1))
+    evaluate = density.evaluate_batch
+
+    def overflow_in_short_block(g, z):
+        values = evaluate(g, z)
+        if z.shape[0] < 4096:  # only the last of 10_000 rows in 4096-row blocks
+            values[-1] = np.inf
+        return values
+
+    monkeypatch.setattr(density, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(density, "evaluate_batch", overflow_in_short_block)
+    assert pg.sample(f, 8192, seed=1).count == 8192
+    with pytest.raises(InputError, match="overflow"):
+        pg.sample(f, 10_000, seed=1)
+
+
+def _sample_peak_bytes(f, n_samples):
+    tracemalloc.start()
+    try:
+        pg.sample(f, n_samples, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_does_not_grow_with_n():
+    (wide, _), _ = _member_draws(ClassParams(14, 2, 3), 5)
+    assert _sample_peak_bytes(wide, 1_000_000) < 24e6  # the values are 8 MB
+    huge = random_in_class(ClassParams(400, 2, 3), 5)
+    assert _sample_peak_bytes(huge, 200_000) < 64e6  # one (N, n) draw is 640 MB
 
 
 def test_sample_clt_bands(x1_samples, x1sq_samples):
