@@ -17,7 +17,6 @@ from .errors import (
     DegreeExceedsCap,
     DimensionMismatch,
     EpsilonBelowResolution,
-    GridMismatch,
     IndexOutOfRange,
     InputError,
     InsufficientDecay,
@@ -37,7 +36,6 @@ from .poly import (
     constant,
     degree,
     evaluate_batch,
-    in_class,
     leading_magnitude,
     max_var_power,
     monomial,
@@ -61,7 +59,6 @@ from .density import (
     EmpiricalCdf,
     GriddedDensity,
     SampleSet,
-    affine_density,
     ecdf,
     histogram_density,
     load_samples,
@@ -84,7 +81,6 @@ from .functionals import (
     kr_distance,
     modulus_envelope,
     modulus_equivalence_check,
-    shift_modulus,
     shift_modulus_curve,
     small_set_check,
     tv_distance,

@@ -94,8 +94,8 @@ def sample(
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """Cell-averaged density on a uniform grid, from ``histogram_density``,
-    ``oracle_density`` or ``affine_density``.
+    """Cell-averaged density on a uniform grid, from ``histogram_density`` or
+    ``oracle_density``.
 
     clipped_mass: probability mass outside the grid (tail truncation).
     l1_noise:     Monte Carlo L1 noise estimate from seed-split halves
@@ -134,9 +134,6 @@ class GriddedDensity:
     def mass(self) -> float:
         return self.step * float(self.values.sum())
 
-    def centers(self) -> np.ndarray:
-        return self.lo + self.step * (np.arange(self.size) + 0.5)
-
     def total_variation(self) -> float:
         """Variation of the piecewise-constant density, including the drops
         to zero at both grid ends (a discretization-bias proxy)."""
@@ -157,7 +154,9 @@ def _half_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell counts of the two halves of ``values``, binned in one pass; their
     sum is the count of the whole sample (integers, so exact in float64)."""
-    idx = np.floor((values - lo) / step).astype(np.int64)
+    idx = values - lo
+    idx /= step
+    idx = np.floor(idx, out=idx).astype(np.int64)
     half = values.shape[0] // 2
     return tuple(
         np.bincount(part[(part >= 0) & (part < size)], minlength=size).astype(np.float64)
@@ -304,36 +303,6 @@ def oracle_density(
     )
 
 
-def affine_density(rho: GriddedDensity, scale: float, shift: float = 0.0) -> GriddedDensity:
-    """Exact density of scale*W + shift when W has density ``rho``.
-
-    Cells map to cells under an affine map, so cell averages transform
-    exactly: value' = value / |scale| on the image grid.
-    """
-    a = float(scale)
-    if a == 0.0 or not np.isfinite(a):
-        raise InputError(f"scale must be nonzero finite, got {scale}")
-    if a > 0:
-        lo = a * rho.lo + shift
-        vals = rho.values / a
-    else:
-        lo = a * rho.hi + shift
-        vals = rho.values[::-1] / (-a)
-    return GriddedDensity(
-        float(lo), abs(a) * rho.step, vals,
-        clipped_mass=rho.clipped_mass, l1_noise=rho.l1_noise,
-    )
-
-
-def resample_density(
-    rho: GriddedDensity, lo: float, step: float, size: int
-) -> np.ndarray:
-    """Linear interpolation of cell values onto another uniform grid (zero
-    outside the source grid).  Returns raw values, not a GriddedDensity."""
-    targets = lo + step * (np.arange(size) + 0.5)
-    return np.interp(targets, rho.centers(), rho.values, left=0.0, right=0.0)
-
-
 # --- Empirical CDF ----------------------------------------------------------
 
 
@@ -368,7 +337,7 @@ def save_samples(
     """Write little-endian float64 values plus a JSON sidecar
     {seed, N, polynomial} next to them."""
     path = Path(path)
-    path.write_bytes(s.values.astype("<f8").tobytes())
+    s.values.astype("<f8", copy=False).tofile(path)
     sidecar = {
         "seed": s.seed,
         "N": s.count,

@@ -50,10 +50,6 @@ class EpsilonBelowResolution(ResolutionError, ValueError):
     """A shift-modulus probe is below twice the grid step."""
 
 
-class GridMismatch(PolyGaussError, ValueError):
-    """Two gridded densities could not be aligned to a common grid."""
-
-
 class ZeroVariance(ResolutionError, ValueError):
     """A check that needs a non-degenerate distribution got variance zero."""
 

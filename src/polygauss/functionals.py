@@ -42,15 +42,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import GriddedDensity, EmpiricalCdf, resample_density
+from .density import GriddedDensity, EmpiricalCdf
 from .errors import (
     EpsilonBelowResolution,
-    GridMismatch,
     InputError,
     NonpositiveDistance,
     ZeroVariance,
 )
 from .lp import solve_chain_lp
+
+MAX_GRID_POINTS = 10_000  # most points of a probe or t grid; the default t grid has 81
 
 
 def log_bracket(u: float, exponent: float) -> float:
@@ -224,11 +225,6 @@ def _shift_moduli(rho: GriddedDensity, ks) -> np.ndarray:
     return rho.step * np.maximum.accumulate(l1)[ks]
 
 
-def shift_modulus(rho: GriddedDensity, eps: float) -> float:
-    """max over integer shifts k <= eps/step of step * sum |rho(.+k) - rho|."""
-    return float(_shift_moduli(rho, [max_shift_index(rho, eps)])[0])
-
-
 def shift_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
     """Shift-modulus table with probes snapped to realized shifts k * step.
 
@@ -306,6 +302,9 @@ def geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     if not math.isfinite(decades):
         raise InputError(f"range [{lo}, {hi}] does not span a finite number of decades")
     count = max(2, int(math.ceil(per_decade * decades)) + 1)
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"range [{lo}, {hi}] at {per_decade} per decade needs {count} points,"
+                         f" more than {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, count)
 
 
@@ -517,37 +516,26 @@ def degree_envelope_check(
 # --- Distances ----------------------------------------------------------------
 
 
-def _common_grid(
-    x: GriddedDensity, y: GriddedDensity, max_cells: int = 8192
-) -> tuple[float, float, int, np.ndarray, np.ndarray]:
-    if x.lo == y.lo and x.step == y.step and x.size == y.size:
-        return x.lo, x.step, x.size, x.values, y.values
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    step = min(x.step, y.step)
-    size = int(math.ceil((hi - lo) / step))
-    if size > max_cells:
-        step = (hi - lo) / max_cells
-        size = max_cells
-    if not (np.isfinite(lo) and np.isfinite(step) and step > 0 and size >= 2):
-        raise GridMismatch(f"cannot align grids [{x.lo},{x.hi}] and [{y.lo},{y.hi}]")
-    vx = resample_density(x, lo, step, size)
-    vy = resample_density(y, lo, step, size)
-    return lo, step, size, vx, vy
+def _same_grid(x: GriddedDensity, y: GriddedDensity) -> None:
+    """Distances compare cell by cell, so both densities must sit on one grid
+    (``histogram_density``'s ``span`` puts several sample sets on one)."""
+    gx, gy = (x.lo, x.step, x.size), (y.lo, y.step, y.size)
+    if gx != gy:
+        raise InputError(f"distances need one grid, got (lo, step, size) = {gx} and {gy}")
 
 
 def tv_distance(x: GriddedDensity, y: GriddedDensity) -> float:
     """Total variation distance: L1 distance of densities, in [0, 2]."""
-    _, step, _, vx, vy = _common_grid(x, y)
-    return step * float(np.abs(vx - vy).sum())
+    _same_grid(x, y)
+    return x.step * float(np.abs(x.values - y.values).sum())
 
 
 def kr_distance(x: GriddedDensity, y: GriddedDensity) -> float:
     """Bounded-Lipschitz distance: sup of int phi d(X - Y) over |phi| <= 1,
     |phi'| <= 1; the same chain LP as the dual modulus with unit box and
     direct weights step * (rho_X - rho_Y)."""
-    _, step, _, vx, vy = _common_grid(x, y)
-    return solve_chain_lp(step * (vx - vy), 1.0, step)
+    _same_grid(x, y)
+    return solve_chain_lp(x.step * (x.values - y.values), 1.0, x.step)
 
 
 def tv_vs_kr_check(

@@ -150,15 +150,6 @@ def max_var_power(f: Polynomial) -> int:
     return max(max(j) for j in f.terms)
 
 
-def in_class(f: Polynomial, params: ClassParams) -> bool:
-    return (
-        f.n == params.n
-        and not f.is_zero
-        and max_var_power(f) <= params.m
-        and degree(f) <= params.d
-    )
-
-
 def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
     """Evaluate f at each row of an (N, n) array.
 
@@ -301,7 +292,7 @@ def random_in_class(params: ClassParams, seed: int) -> Polynomial:
     i + 1.  This costs O(n * m * min(d, n * m)) for the table and O(n * m)
     per term, against (m + 1)^n for listing them.  The RNG calls are the
     ones a draw from the listed tuples makes, so a seed gives the same
-    polynomial either way (``tests/test_poly.py`` pins 120 seeds' draws).
+    polynomial either way (``tests/test_poly.py`` pins 122 seeds' draws).
     A class of more than 2^63 - 1 tuples is an ``InputError``.
     """
     table = _class_counts(params)

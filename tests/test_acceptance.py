@@ -78,7 +78,7 @@ def test_criterion_3_gaussian_shift_modulus():
     h = pg.histogram_density(s, 3200)
     worst = 0.0
     for eps in (0.05, 0.1, 0.2):
-        got = pg.shift_modulus(h, eps)
+        got = pg.shift_modulus_curve(h, [eps]).values[0]
         exact = 4.0 * ndtr(eps / 2.0) - 2.0
         worst = max(worst, abs(got - exact))
     ok = worst <= 0.005

@@ -330,6 +330,8 @@ def test_bad_config_field_exits_3(tmp_path, capsys, override):
     ("cf", {"t": {"hi": math.inf}}),
     ("cf", {"t": {"lo": 1e-320}}),
     ("modulus", {"eps": {"lo": 1e-320}}),
+    ("modulus", {"eps": {"per_decade": 10**12}}),
+    ("cf", {"t": {"per_decade": 10**12}}),
 ])
 def test_grid_spanning_infinite_decades_exits_3(tmp_path, capsys, command, override):
     cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, "grid": 64, **override}

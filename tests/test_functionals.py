@@ -25,24 +25,24 @@ def gauss_shift_l1(h):
 
 def test_shift_modulus_gaussian_closed_form(normal_oracle):
     for eps in (0.05, 0.1, 0.2, 0.5):
-        got = pg.shift_modulus(normal_oracle, eps)
+        got = pg.shift_modulus_curve(normal_oracle, [eps]).values[0]
         assert got == pytest.approx(gauss_shift_l1(eps), abs=0.003)
 
 
 def test_shift_modulus_saturates_at_span(normal_oracle):
-    got = pg.shift_modulus(normal_oracle, 20.0)
+    got = pg.shift_modulus_curve(normal_oracle, [20.0]).values[0]
     assert got == pytest.approx(2.0 * normal_oracle.mass, abs=1e-9)
 
 
 def test_shift_modulus_monotone(normal_oracle):
     eps = np.geomspace(0.01, 2.0, 25)
-    vals = [pg.shift_modulus(normal_oracle, e) for e in eps]
+    vals = [pg.shift_modulus_curve(normal_oracle, [e]).values[0] for e in eps]
     assert np.all(np.diff(vals) >= 0)
 
 
 def test_shift_modulus_resolution_guard(normal_oracle):
     with pytest.raises(EpsilonBelowResolution):
-        pg.shift_modulus(normal_oracle, normal_oracle.step * 1.5)
+        pg.shift_modulus_curve(normal_oracle, [normal_oracle.step * 1.5])
 
 
 def test_probe_grid_range_errors():
@@ -165,7 +165,11 @@ def test_scaling_identity_oracles():
 
 
 def test_scaling_identity_chisq(chisq_oracle):
-    scaled = pg.affine_density(chisq_oracle, 2.0)
+    # the law of 2 W: cell averages halve on a grid twice as wide
+    scaled = pg.GriddedDensity(
+        2.0 * chisq_oracle.lo, 2.0 * chisq_oracle.step, chisq_oracle.values / 2.0,
+        chisq_oracle.clipped_mass,
+    )
     for t in (0.1, 0.4):
         lhs = pg.dual_modulus(scaled, t)
         rhs = pg.dual_modulus(chisq_oracle, t / 2.0)
@@ -329,18 +333,20 @@ def test_row_check_margins_are_smallest_rhs_minus_lhs(
         pg.ecdf(x1_samples), x1_samples.count, h, [(-0.05, 0.05), (-0.5, 0.5)]
     )
     assert report.worst_margin == row_margin(report)
-    far = pg.oracle_density("normal", 2.0, 10.0, 2048, mu=6.0)
-    report = pg.tv_vs_kr_check(normal_oracle, far, np.geomspace(0.05, 0.9, 6))
+    near = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
+    far = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
+    report = pg.tv_vs_kr_check(near, far, np.geomspace(0.05, 0.9, 6))
     assert report.worst_margin == row_margin(report)
 
 
 # --- distances --------------------------------------------------------------------
 
 
-def test_tv_identical_and_disjoint(normal_oracle):
-    assert pg.tv_distance(normal_oracle, normal_oracle) == 0.0
-    far = pg.affine_density(normal_oracle, 1.0, 100.0)
-    assert pg.tv_distance(normal_oracle, far) == pytest.approx(2.0, abs=1e-3)
+def test_tv_identical_and_disjoint():
+    near = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
+    far = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
+    assert pg.tv_distance(near, near) == 0.0
+    assert pg.tv_distance(near, far) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_tv_gaussian_shift(normal_oracle):
@@ -349,10 +355,11 @@ def test_tv_gaussian_shift(normal_oracle):
     assert got == pytest.approx(gauss_shift_l1(0.1), abs=0.005)
 
 
-def test_kr_basics(normal_oracle):
-    assert pg.kr_distance(normal_oracle, normal_oracle) == pytest.approx(0.0, abs=1e-12)
-    far = pg.affine_density(normal_oracle, 1.0, 100.0)
-    assert pg.kr_distance(normal_oracle, far) <= 2.0 + 1e-9
+def test_kr_basics():
+    near = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
+    far = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
+    assert pg.kr_distance(near, near) == pytest.approx(0.0, abs=1e-12)
+    assert pg.kr_distance(near, far) <= 2.0 + 1e-9
 
 
 def test_kr_below_tv_on_random_pairs():
@@ -384,6 +391,15 @@ def test_metric_axioms_on_common_grid():
             assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
 
 
+def test_distances_need_one_grid(normal_oracle):
+    coarse = pg.oracle_density("normal", -4.0, 4.0, 1024)
+    for distance in (pg.tv_distance, pg.kr_distance):
+        with pytest.raises(InputError, match="one grid"):
+            distance(normal_oracle, coarse)
+    with pytest.raises(InputError, match="one grid"):
+        pg.tv_vs_kr_check(normal_oracle, coarse, [0.1, 0.5])
+
+
 def test_tv_vs_kr_check_same_density(normal_oracle):
     report = pg.tv_vs_kr_check(normal_oracle, normal_oracle, [0.1, 0.5])
     assert report.verdict
@@ -395,9 +411,10 @@ def test_tv_vs_kr_check_probe_domain(normal_oracle):
         pg.tv_vs_kr_check(normal_oracle, normal_oracle, [0.5, 1.5])
 
 
-def test_tv_vs_kr_far_shift(normal_oracle):
-    far = pg.oracle_density("normal", 2.0, 10.0, 2048, mu=6.0)
-    report = pg.tv_vs_kr_check(normal_oracle, far, np.geomspace(0.05, 0.9, 6))
+def test_tv_vs_kr_far_shift():
+    near = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
+    far = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
+    report = pg.tv_vs_kr_check(near, far, np.geomspace(0.05, 0.9, 6))
     assert report.verdict  # the kr/eps term carries the bound
 
 

@@ -33,6 +33,8 @@ MODULUS_POLYS = {
     "x1^2": {"n": 1, "terms": [{"exp": [2], "coef": 1.0}]},
     "x1*x2": {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}]},
 }
+# The second law of the distance run: x1*x2 + 0.2*x1.
+X1X2_PLUS = {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}, {"exp": [1, 0], "coef": 0.2}]}
 # Sums of independent pieces (a*x1*x2 plus a square or a linear term on
 # other variables), the cf inputs of the benchmark's indices 1-3; the sample
 # seed is the index.
@@ -89,6 +91,13 @@ def invocations() -> list[tuple[str, list[str]]]:
         runs.append((f"cf index={index}", [
             "cf", "--poly", json.dumps(poly), "--samples", "1000000",
             "--seed", str(index)]))
+    runs.append(("distance x1*x2 vs x1*x2+0.2*x1", [
+        "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1000000",
+        "--grid", "400", "--seed", "9"]))
+    runs.append(("variance x1*x2", [
+        "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--samples", "1000000", "--seed", "1"]))
     return runs
 
 
