@@ -32,18 +32,19 @@ print("two-sided equivalence on the product histogram:",
 # scaling-law fit on the closed-form product density (m=1, d=2)
 rho_p = pg.oracle_density("product_normal", -9.0, 9.0, 9000)
 curve = pg.shift_modulus_curve(rho_p, np.geomspace(0.01, 0.1, 13))
-fit = pg.fit_envelope(curve, pg.EnvelopeParams(m=1, d=2))
+env = pg.envelope_check(curve, pg.EnvelopeParams(m=1, d=2))
+fit = env.extras
 print("\nproduct law (m=1, d=2):")
-print(f"  fitted constant        {fit.c_hat:.4f}")
-print(f"  ratio trend slope      {fit.ratio_slope:+.4f}  (flat = envelope shape is right)")
-print(f"  raw log-log slope      {fit.slope_loglog:.4f}  (dragged below 1 by the log factor)")
-print(f"  log-adjusted exponent  {fit.slope_adjusted:.4f}  (recovers 1/m = 1)")
+print(f"  fitted constant        {env.fitted_constant:.4f}")
+print(f"  ratio trend slope      {fit['ratio_slope']:+.4f}  (flat = envelope shape is right)")
+print(f"  raw log-log slope      {fit['slope_loglog']:.4f}  (dragged below 1 by the log factor)")
+print(f"  log-adjusted exponent  {fit['slope_adjusted']:.4f}  (recovers 1/m = 1)")
 
 # the square law has m = d = 2: pure exponent 1/2, no log factor
 rho_c = pg.oracle_density("chisq1", 0.0, 16.0, 8000)
 curve_c = pg.shift_modulus_curve(rho_c, np.geomspace(0.01, 0.1, 13))
-fit_c = pg.fit_envelope(curve_c, pg.EnvelopeParams(m=2, d=2))
-print(f"\nsquare law (m=d=2): log-log slope {fit_c.slope_loglog:.4f} (expect 1/2)")
+fit_c = pg.envelope_check(curve_c, pg.EnvelopeParams(m=2, d=2)).extras
+print(f"\nsquare law (m=d=2): log-log slope {fit_c['slope_loglog']:.4f} (expect 1/2)")
 
 # degree-only fallback: sigma <= C(d) Var^(-1/2d) eps^(1/d)
 sigma_curve = pg.dual_modulus_curve(rho_c, np.geomspace(0.02, 0.3, 12))

@@ -12,22 +12,7 @@ computations (``moments``) as cross-checks.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateRange,
-    DegreeExceedsCap,
-    DimensionMismatch,
-    EpsilonBelowResolution,
-    IndexOutOfRange,
-    InputError,
-    InsufficientDecay,
-    NonpositiveDistance,
-    PolyGaussError,
-    ResolutionError,
-    UnsupportedKind,
-    ZeroPolynomial,
-    ZeroScale,
-    ZeroVariance,
-)
+from .errors import InputError, ResolutionError
 from .poly import (
     ClassParams,
     MultiIndex,
@@ -63,6 +48,7 @@ from .density import (
     histogram_density,
     load_samples,
     oracle_density,
+    quantile_grid,
     sample,
     save_samples,
 )
@@ -77,7 +63,6 @@ from .functionals import (
     dual_modulus,
     dual_modulus_curve,
     envelope_check,
-    fit_envelope,
     kr_distance,
     modulus_envelope,
     modulus_equivalence_check,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import SampleSet
-from .errors import InputError, InsufficientDecay
+from .errors import InputError, ResolutionError
 from .functionals import (
     BoundReport, EnvelopeParams, geometric_grid, log_bracket, ols_slope, scaling_report,
 )
@@ -242,7 +242,7 @@ def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:
 
     Below ``CF_NOISE_FACTOR * stderr`` the modulus estimate is pure noise,
     so those probes are excluded; the rest must span at least a decade of t,
-    else ``InsufficientDecay``.  The verdict requires a finite fitted
+    else ``ResolutionError``.  The verdict requires a finite fitted
     constant and no upward trend of the log ratio in log t (slope at most
     ``CF_SLOPE_TOL``, reported as the ``slope_tol`` extra; strongly negative
     slopes just mean the envelope is conservative for this input and are
@@ -256,7 +256,7 @@ def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:
     if valid.sum() < 2 or (
         curve.t[valid].max() / curve.t[valid].min() < 10.0
     ):
-        raise InsufficientDecay(
+        raise ResolutionError(
             "usable probes span less than a decade above the noise floor"
         )
     env = np.array([cf_envelope(p, t) for t in curve.t])

@@ -29,10 +29,11 @@ from .density import (
     SampleSet,
     ecdf,
     histogram_density,
+    quantile_grid,
     sample,
     save_samples,
 )
-from .errors import InputError, PolyGaussError, ResolutionError
+from .errors import InputError, ResolutionError
 from .functionals import (
     BoundReport,
     EnvelopeParams,
@@ -406,9 +407,9 @@ def _distance_reports(
     pooled samples: the distance report's payload and the two-term report."""
     sg = _sample(run, g, cfg, seed_g)
     with run.stage("histogram"):
-        both = np.concatenate([sf.values, sg.values])
-        rho_f = histogram_density(sf, cfg["grid"], span=both)
-        rho_g = histogram_density(sg, cfg["grid"], span=both)
+        grid = quantile_grid(np.concatenate([sf.values, sg.values]), cfg["grid"])
+        rho_f = histogram_density(sf, cfg["grid"], grid)
+        rho_g = histogram_density(sg, cfg["grid"], grid)
     with run.stage("checks"):
         report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
     tv = report.extras["tv"]
@@ -533,7 +534,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (PolyGaussError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, roots_legendre
 
-from .errors import DegenerateRange, InputError, UnsupportedKind
+from .errors import InputError, ResolutionError
 from .poly import Polynomial, evaluate_batch, from_json_dict, to_json_dict
 
 SAMPLE_CHUNK = 1 << 20
@@ -65,11 +65,11 @@ def sample(
     """
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
+    values = np.empty(n_samples)  # first, so a size too large fails before spawning
     n_chunks = (n_samples + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     # the floor keeps per-block Python overhead small next to the arithmetic
     rows = max(4096, BLOCK_BYTES // (8 * f.n))
-    values = np.empty(n_samples)
 
     def draw(i: int) -> None:
         gen = np.random.Generator(np.random.Philox(children[i]))
@@ -141,10 +141,15 @@ class GriddedDensity:
         return float(v[0] + np.abs(np.diff(v)).sum() + v[-1])
 
 
-def _quantile_grid(values: np.ndarray, size: int) -> tuple[float, float]:
+def quantile_grid(values: np.ndarray, size: int) -> tuple[float, float]:
+    """(lo, step) of the ``size``-cell grid over the [1e-4, 1 - 1e-4]
+    quantiles of ``values``, padded by two cells.  Histogramming several
+    sample sets on the grid of their pooled values puts them on one grid."""
+    if size < 16:
+        raise InputError(f"need at least 16 cells, got {size}")
     q_lo, q_hi = np.quantile(values, [TAIL_QUANTILE, 1.0 - TAIL_QUANTILE])
     if q_hi <= q_lo:
-        raise DegenerateRange("samples are (nearly) constant; no grid range")
+        raise ResolutionError("samples are (nearly) constant; no grid range")
     step = (q_hi - q_lo) / (size - 4)
     return float(q_lo - 2.0 * step), float(step)
 
@@ -165,23 +170,19 @@ def _half_counts(
 
 
 def histogram_density(
-    s: SampleSet, size: int = 400, span: np.ndarray | None = None
+    s: SampleSet, size: int = 400, grid: tuple[float, float] | None = None
 ) -> GriddedDensity:
-    """Histogram estimate on ``size`` cells.
-
-    The grid spans the [1e-4, 1 - 1e-4] quantiles of ``span`` (default: the
-    sample itself) padded by two cells; mass falling outside is reported as
-    ``clipped_mass``.  Passing the pooled values of several sample sets as
-    ``span`` puts each of them on the same grid.  The L1 noise estimate comes
-    from histogramming the two halves of the sample separately.
+    """Histogram estimate on the ``size`` cells of ``grid`` = (lo, step),
+    by default ``quantile_grid`` of the sample itself; mass falling outside is
+    reported as ``clipped_mass``.  The L1 noise estimate comes from
+    histogramming the two halves of the sample separately.
     """
     if size < 16:
         raise InputError(f"need at least 16 cells, got {size}")
     if s.count < 10 * size:
         raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
-    vals = s.values
-    glo, step = _quantile_grid(vals if span is None else span, size)
-    c1, c2 = _half_counts(vals, glo, step, size)
+    glo, step = quantile_grid(s.values, size) if grid is None else grid
+    c1, c2 = _half_counts(s.values, glo, step, size)
     counts = c1 + c2
     n = s.count
     clipped = 1.0 - counts.sum() / n
@@ -295,7 +296,7 @@ def oracle_density(
     elif kind == "product_normal":
         mass = _product_normal_cell_mass(edges)
     else:
-        raise UnsupportedKind(f"unknown density kind {kind!r}")
+        raise InputError(f"unknown density kind {kind!r}")
     covered = float(mass.sum())
     return GriddedDensity(
         float(lo), float(step), np.maximum(mass, 0.0) / step,

@@ -43,12 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import GriddedDensity, EmpiricalCdf
-from .errors import (
-    EpsilonBelowResolution,
-    InputError,
-    NonpositiveDistance,
-    ZeroVariance,
-)
+from .errors import InputError, ResolutionError
 from .lp import solve_chain_lp
 
 MAX_GRID_POINTS = 10_000  # most points of a probe or t grid; the default t grid has 81
@@ -210,7 +205,7 @@ def _shift_l1(values: np.ndarray, k: int) -> float:
 def max_shift_index(rho: GriddedDensity, eps: float) -> int:
     k = int(math.floor(eps / rho.step + 1e-9))
     if k < 2:
-        raise EpsilonBelowResolution(
+        raise ResolutionError(
             f"eps={eps} below resolution 2*step={2 * rho.step}"
         )
     return k
@@ -288,7 +283,7 @@ def default_probe_grid(
     if lo is None:
         lo = max(2.0 * rho.step, 1e-3)
         if lo >= hi:
-            raise EpsilonBelowResolution(
+            raise ResolutionError(
                 f"resolution floor {lo} leaves no probe below {hi}"
             )
     elif not 0 < lo < hi:
@@ -416,52 +411,6 @@ def scaling_report(
     )
 
 
-@dataclass(frozen=True)
-class EnvelopeFit:
-    """Fitted constant and exponent diagnostics for a modulus curve.
-
-    c_hat:          max of value / envelope over the fitted probes.
-    envelope:       the envelope at those probes.
-    ratios:         value / envelope at those probes.
-    ratio_slope:    log-log trend of that ratio (0 for a perfect fit; a
-                    negative trend means the ratio grows as eps shrinks,
-                    i.e. the envelope is violated asymptotically).
-    slope_loglog:   raw log value vs log eps slope; drags below 1/m when
-                    d > m because the log factor is real.
-    slope_adjusted: slope after dividing the log factor out; compares
-                    directly against 1/m.
-    """
-
-    c_hat: float
-    envelope: np.ndarray
-    ratios: np.ndarray
-    ratio_slope: float
-    slope_loglog: float
-    slope_adjusted: float
-
-
-def fit_envelope(
-    curve: ModulusCurve, p: EnvelopeParams, exponent_bias: float = 0.0
-) -> EnvelopeFit:
-    """Fit the envelope over every positive point of ``curve``."""
-    keep = curve.values > 0
-    if keep.sum() < 3:
-        raise InputError("envelope fit needs at least 3 positive curve points")
-    eps, vals = curve.eps[keep], curve.values[keep]
-    env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
-    ratios = vals / env
-    log_eps = np.log(eps)
-    log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
-    return EnvelopeFit(
-        c_hat=float(ratios.max()),
-        envelope=env,
-        ratios=ratios,
-        ratio_slope=ols_slope(log_eps, np.log(ratios)),
-        slope_loglog=ols_slope(log_eps, np.log(vals)),
-        slope_adjusted=ols_slope(log_eps, np.log(vals / log_factor)),
-    )
-
-
 def envelope_check(
     curve: ModulusCurve,
     p: EnvelopeParams,
@@ -476,18 +425,27 @@ def envelope_check(
     wrong for this curve.  Oracle-grade curves restricted to small eps sit
     near zero, which the default symmetric window holds them to; Monte Carlo
     curves probed up to eps ~ 1 need a wider window because the log bracket
-    collapses as eps approaches the leading magnitude.
+    collapses as eps approaches the leading magnitude.  Alongside that
+    ``ratio_slope``, the extras hold ``slope_loglog``, the raw log-log slope
+    (below 1/m when d > m, because the log factor is real), and
+    ``slope_adjusted``, the slope with the log factor divided out, which
+    compares directly with 1/m.
     """
-    fit = fit_envelope(curve, p, exponent_bias)
     keep = curve.values > 0
+    if keep.sum() < 3:
+        raise InputError("envelope fit needs at least 3 positive curve points")
+    eps, vals = curve.eps[keep], curve.values[keep]
+    env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
+    log_eps = np.log(eps)
+    log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
+    ratio_slope = ols_slope(log_eps, np.log(vals / env))
     return scaling_report(
-        "modulus-envelope", curve.eps[keep], curve.values[keep], fit.envelope, 1e-12,
-        fit.ratio_slope, slope_range,
+        "modulus-envelope", eps, vals, env, 1e-12, ratio_slope, slope_range,
         extras={
-            "ratio_slope": fit.ratio_slope,
+            "ratio_slope": ratio_slope,
             "slope_range": list(slope_range),
-            "slope_loglog": fit.slope_loglog,
-            "slope_adjusted": fit.slope_adjusted,
+            "slope_loglog": ols_slope(log_eps, np.log(vals)),
+            "slope_adjusted": ols_slope(log_eps, np.log(vals / log_factor)),
             "expected_exponent": 1.0 / p.m,
         },
     )
@@ -500,7 +458,7 @@ def degree_envelope_check(
     C(d) * Var^(-1/(2d)) * eps^(1/d); fits C and checks the log-log slope
     stays above 1/d - 0.1."""
     if var <= 0:
-        raise ZeroVariance("degree envelope needs positive variance")
+        raise ResolutionError("degree envelope needs positive variance")
     keep = curve.values > 0
     if keep.sum() < 3:
         raise InputError("degree envelope fit needs at least 3 positive points")
@@ -518,7 +476,7 @@ def degree_envelope_check(
 
 def _same_grid(x: GriddedDensity, y: GriddedDensity) -> None:
     """Distances compare cell by cell, so both densities must sit on one grid
-    (``histogram_density``'s ``span`` puts several sample sets on one)."""
+    (``quantile_grid`` of their pooled values puts several sample sets on one)."""
     gx, gy = (x.lo, x.step, x.size), (y.lo, y.step, y.size)
     if gx != gy:
         raise InputError(f"distances need one grid, got (lo, step, size) = {gx} and {gy}")
@@ -569,7 +527,7 @@ def balancing_epsilon(dkr: float, m: int, d: int) -> float:
     Must land in (0, 1) for the two-term bound to apply; callers flag it
     otherwise."""
     if dkr <= 0:
-        raise NonpositiveDistance(f"distance must be positive, got {dkr}")
+        raise InputError(f"distance must be positive, got {dkr}")
     if dkr > 2.0 + 1e-9:
         raise InputError(f"bounded-Lipschitz distance cannot exceed 2, got {dkr}")
     u = dkr / 3.0
@@ -582,7 +540,7 @@ def tv_kr_rate_ratio(tv: float, kr: float, m: int, d: int) -> float:
     """Ratio of d_TV to the rate d_KR^(1/(m+1)) (|ln d_KR|^((d-m)m/(m+1)) + 1);
     bounded ratios across a family witness the distance-comparison law."""
     if kr <= 0:
-        raise NonpositiveDistance(f"distance must be positive, got {kr}")
+        raise InputError(f"distance must be positive, got {kr}")
     expo = (d - m) * m / (m + 1.0)
     rate = kr ** (1.0 / (m + 1.0)) * log_bracket(kr, expo)
     return tv / rate

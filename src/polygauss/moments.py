@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegreeExceedsCap, InputError
+from .errors import InputError
 from .poly import MultiIndex, Polynomial, degree, multiply, partial_derivative
 
 
@@ -155,7 +155,7 @@ def variance_lower_bound_1d(g: Polynomial, m: int) -> float:
     if g.n != 1:
         raise InputError(f"expected a univariate polynomial, got n={g.n}")
     if not g.is_zero and degree(g) > m:
-        raise DegreeExceedsCap(f"degree {degree(g)} exceeds cap m={m}")
+        raise InputError(f"degree {degree(g)} exceeds cap m={m}")
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     gp = partial_derivative(g, 1)

@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from polygauss.density import SampleSet
-from polygauss.errors import DimensionMismatch
+from polygauss.errors import InputError
 from polygauss.moments import HermiteExpansion
 from polygauss.poly import ClassParams, Polynomial
 
@@ -137,7 +137,7 @@ def highs_chain_lp(weights, box: float, slope_step: float) -> float:
 def evaluate(f: Polynomial, x: Sequence[float]) -> float:
     """Evaluate f at a single point."""
     if len(x) != f.n:
-        raise DimensionMismatch(f"point has length {len(x)}, expected {f.n}")
+        raise InputError(f"point has length {len(x)}, expected {f.n}")
     total = 0.0
     for exps, coef in f.terms.items():
         term = coef

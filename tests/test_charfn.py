@@ -5,7 +5,7 @@ import pytest
 
 import polygauss as pg
 from polygauss.density import SampleSet
-from polygauss.errors import InputError, InsufficientDecay
+from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import Polynomial, monomial, scale
 
 from oracles import ecf_direct
@@ -159,7 +159,7 @@ def test_decay_check_square_ratio_limit(x1sq_samples):
 def test_insufficient_decay_all_noise():
     s = pg.sample(scale(monomial(1, (1,)), 50.0), 10_000, seed=4)
     curve = pg.ecf_modulus(s, pg.default_t_grid(0.1, 100.0, 8))
-    with pytest.raises(InsufficientDecay):
+    with pytest.raises(ResolutionError, match="less than a decade"):
         pg.cf_decay_check(curve, pg.EnvelopeParams(m=1, d=1, lead=50.0))
 
 

@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygauss.cli import main
-from polygauss.errors import (
-    DegenerateRange,
-    EpsilonBelowResolution,
-    InsufficientDecay,
-    ResolutionError,
-    ZeroVariance,
-)
+from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import dumps, monomial
 
 X1X2 = dumps(monomial(2, (1, 1)))
@@ -257,20 +251,23 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
     assert "exponent tuples" in err
 
 
+# The last two ask for 10^17 float64 samples or 3 * 10^17 member seeds, more
+# bytes than a 64-bit address space holds, so the allocation fails at once.
 @pytest.mark.parametrize("argv, code", [
     (["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1"], 3),
     (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [0], "coef": 2.0}]}'], 4),
+    (["variance", "--poly", X1X2, "--samples", str(10**17)], 3),
+    (["verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", str(10**17)], 3),
 ])
-def test_failed_run_leaves_no_output_directory(tmp_path, argv, code):
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert run([*argv, "--out", str(tmp_path / "big")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("error", [
-    EpsilonBelowResolution, InsufficientDecay, DegenerateRange, ZeroVariance,
-])
-def test_exit_4_errors_are_resolution_errors(error):
-    assert issubclass(error, ResolutionError) and issubclass(error, ValueError)
+def test_error_classes_are_value_errors():
+    assert issubclass(InputError, ValueError) and issubclass(ResolutionError, ValueError)
 
 
 @pytest.mark.parametrize("flag", ["--config", "--poly"])

@@ -9,7 +9,7 @@ from scipy.special import k0, ndtr
 import polygauss as pg
 import polygauss.density as density
 from polygauss.density import SAMPLE_CHUNK, product_normal_pdf
-from polygauss.errors import DegenerateRange, InputError, UnsupportedKind
+from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import (
     ClassParams,
     Polynomial,
@@ -165,7 +165,7 @@ def test_sample_rejects_overflowing_values():
 
 def test_histogram_rejects_constant():
     s = pg.sample(constant(1, 2.0), 50_000, seed=1)
-    with pytest.raises(DegenerateRange):
+    with pytest.raises(ResolutionError, match="constant"):
         pg.histogram_density(s, 64)
 
 
@@ -177,17 +177,18 @@ def test_histogram_preconditions(x1_samples):
         pg.histogram_density(tiny, 64)
 
 
-def test_histogram_span_sets_one_grid(x1_samples, x1sq_samples):
+def test_quantile_grid_sets_one_grid(x1_samples, x1sq_samples):
     both = np.concatenate([x1_samples.values, x1sq_samples.values])
-    hx = pg.histogram_density(x1_samples, 400, span=both)
-    hy = pg.histogram_density(x1sq_samples, 400, span=both)
+    grid = pg.quantile_grid(both, 400)
+    hx = pg.histogram_density(x1_samples, 400, grid)
+    hy = pg.histogram_density(x1sq_samples, 400, grid)
     assert (hx.lo, hx.step, hx.size) == (hy.lo, hy.step, hy.size)
     q_lo, q_hi = np.quantile(both, [1e-4, 1 - 1e-4])
     assert hx.lo < q_lo and q_hi < hx.hi
-    own = pg.histogram_density(x1_samples, 400, span=x1_samples.values)
+    own = pg.histogram_density(x1_samples, 400, pg.quantile_grid(x1_samples.values, 400))
     assert np.array_equal(own.values, pg.histogram_density(x1_samples, 400).values)
-    with pytest.raises(DegenerateRange):
-        pg.histogram_density(x1_samples, 400, span=np.ones(10))
+    with pytest.raises(ResolutionError, match="constant"):
+        pg.quantile_grid(np.ones(10), 64)
 
 
 def _three_pass_histogram(values, lo, step, size):
@@ -212,8 +213,8 @@ def _three_pass_histogram(values, lo, step, size):
 @pytest.mark.parametrize("pooled", [False, True])
 def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled):
     s = request.getfixturevalue(name)
-    span = np.concatenate([s.values, x1sq_samples.values]) if pooled else None
-    rho = pg.histogram_density(s, 400, span=span)
+    grid = pg.quantile_grid(np.concatenate([s.values, x1sq_samples.values]), 400) if pooled else None
+    rho = pg.histogram_density(s, 400, grid)
     values, clipped, noise = _three_pass_histogram(s.values, rho.lo, rho.step, rho.size)
     assert rho.values.tobytes() == values.tobytes()
     assert rho.clipped_mass == clipped
@@ -244,7 +245,7 @@ def test_oracle_product_matches_histogram(x1x2_samples):
 
 
 def test_oracle_unknown_kind():
-    with pytest.raises(UnsupportedKind):
+    with pytest.raises(InputError, match="unknown density kind"):
         pg.oracle_density("cauchy", -1, 1, 64)
 
 

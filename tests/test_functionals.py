@@ -5,12 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 import polygauss as pg
-from polygauss.errors import (
-    EpsilonBelowResolution,
-    InputError,
-    NonpositiveDistance,
-    ZeroVariance,
-)
+from polygauss.errors import InputError, ResolutionError
 from polygauss.functionals import ModulusCurve, boundary_correction, density_budget
 
 
@@ -41,13 +36,13 @@ def test_shift_modulus_monotone(normal_oracle):
 
 
 def test_shift_modulus_resolution_guard(normal_oracle):
-    with pytest.raises(EpsilonBelowResolution):
+    with pytest.raises(ResolutionError, match="below resolution"):
         pg.shift_modulus_curve(normal_oracle, [normal_oracle.step * 1.5])
 
 
 def test_probe_grid_range_errors():
     wide = pg.oracle_density("normal", -5.0, 5.0, 16)  # step 0.625 > 1/2
-    with pytest.raises(EpsilonBelowResolution):
+    with pytest.raises(ResolutionError, match="resolution floor"):
         pg.default_probe_grid(wide)
     with pytest.raises(InputError):
         pg.default_probe_grid(wide, lo=1.0, hi=1.0)
@@ -241,17 +236,17 @@ def test_envelope_fit_self_consistency():
     eps = np.geomspace(1e-3, 0.1, 20)
     vals = np.array([pg.modulus_envelope(p, e) for e in eps])
     curve = ModulusCurve("shift", eps, vals)
-    fit = pg.fit_envelope(curve, p)
-    assert fit.c_hat == pytest.approx(1.0)
-    assert fit.ratio_slope == pytest.approx(0.0, abs=1e-9)
-    assert fit.slope_adjusted == pytest.approx(0.5, abs=1e-12)
+    report = pg.envelope_check(curve, p)
+    assert report.fitted_constant == pytest.approx(1.0)
+    assert report.extras["ratio_slope"] == pytest.approx(0.0, abs=1e-9)
+    assert report.extras["slope_adjusted"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_envelope_gaussian_constant(normal_oracle):
     curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
-    fit = pg.fit_envelope(curve, pg.EnvelopeParams(m=1, d=1))
-    assert fit.c_hat == pytest.approx(math.sqrt(2 / math.pi), abs=0.005)
-    assert 0.97 <= fit.slope_loglog <= 1.01
+    report = pg.envelope_check(curve, pg.EnvelopeParams(m=1, d=1))
+    assert report.fitted_constant == pytest.approx(math.sqrt(2 / math.pi), abs=0.005)
+    assert 0.97 <= report.extras["slope_loglog"] <= 1.01
 
 
 def test_envelope_check_catches_corrupt_exponent(normal_oracle):
@@ -295,7 +290,7 @@ def test_degree_envelope_scaling_compensation(normal_oracle):
 def test_degree_envelope_rejects_zero_variance(normal_oracle):
     eps = np.geomspace(0.02, 0.3, 6)
     curve = pg.dual_modulus_curve(normal_oracle, eps)
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(ResolutionError, match="positive variance"):
         pg.degree_envelope_check(0.0, curve, d=2)
 
 
@@ -438,14 +433,14 @@ def test_balancing_epsilon():
     # near-maximal distances push the balancing scale above 1: the two-term
     # bound no longer applies there and callers flag it
     assert pg.balancing_epsilon(1.9, 1, 2) > 1.0
-    with pytest.raises(NonpositiveDistance):
+    with pytest.raises(InputError, match="distance must be positive"):
         pg.balancing_epsilon(0.0, 1, 2)
     with pytest.raises(InputError):
         pg.balancing_epsilon(2.5, 1, 2)
 
 
 def test_rate_ratio_guards():
-    with pytest.raises(NonpositiveDistance):
+    with pytest.raises(InputError, match="distance must be positive"):
         pg.tv_kr_rate_ratio(0.1, 0.0, 1, 2)
     assert pg.tv_kr_rate_ratio(0.2, 0.04, 1, 1) == pytest.approx(0.2 / 0.2)
 

@@ -56,9 +56,9 @@ def test_solver_matches_highs(size, x1_samples, x1sq_samples, x1x2_samples):
         rho = pg.histogram_density(s, size)
         w = _telescoped_weights(rho.values)
         cases += [(w, _dual_box(rho, eps), rho.step) for eps in (0.01, 0.3, 100.0)]
-    both = np.concatenate([x1_samples.values, x1x2_samples.values])
-    hx = pg.histogram_density(x1_samples, size, span=both)
-    hy = pg.histogram_density(x1x2_samples, size, span=both)
+    grid = pg.quantile_grid(np.concatenate([x1_samples.values, x1x2_samples.values]), size)
+    hx = pg.histogram_density(x1_samples, size, grid)
+    hy = pg.histogram_density(x1x2_samples, size, grid)
     kr_weights = hx.step * (hx.values - hy.values)
     assert pg.kr_distance(hx, hy) == solve_chain_lp(kr_weights, 1.0, hx.step)
     cases.append((kr_weights, 1.0, hx.step))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polygauss as pg
-from polygauss.errors import DegreeExceedsCap, InputError
+from polygauss.errors import InputError
 from polygauss.moments import (
     _derivative_energy_matrix,
     expectation,
@@ -97,7 +97,7 @@ def test_lower_bound_examples():
     lb = variance_lower_bound_1d(g, 3)
     assert lb == pytest.approx(6.0)
     assert variance(g) >= lb - 1e-12
-    with pytest.raises(DegreeExceedsCap):
+    with pytest.raises(InputError, match="exceeds cap m=2"):
         variance_lower_bound_1d(g, 2)
 
 

@@ -7,13 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polygauss.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InputError,
-    ZeroPolynomial,
-    ZeroScale,
-)
+from polygauss.errors import InputError
 from polygauss.poly import (
     ClassParams,
     Polynomial,
@@ -56,7 +50,7 @@ def test_degree_examples():
 
 
 def test_degree_rejects_zero():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match="degree of the zero polynomial"):
         degree(ZERO2)
 
 
@@ -82,7 +76,7 @@ def test_evaluate_examples():
     assert evaluate(monomial(2, (1, 2)), [2.0, 3.0]) == 18.0
     assert evaluate(F, [0.0, 0.0]) == 0.0
     assert evaluate(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), [3.0, 4.0]) == 25.0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="point has length 1"):
         evaluate(F, [1.0])
 
 
@@ -112,7 +106,7 @@ def test_scale_examples():
     h = scale(Polynomial(1, {(2,): 1.0, (0,): -1.0}), -1.0)
     assert h.terms == {(2,): -1.0, (0,): 1.0}
     assert leading_magnitude(h)[0] == 1.0
-    with pytest.raises(ZeroScale):
+    with pytest.raises(InputError, match="scaling by zero"):
         scale(F, 0.0)
 
 
@@ -123,7 +117,7 @@ def test_multiply_examples():
     prod = multiply(add(x1, x2), add(x1, scale(x2, -1.0)))
     assert prod.terms == {(2, 0): 1.0, (0, 2): -1.0}  # cross terms cancel exactly
     assert multiply(F, constant(2, 1.0)) == F
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="dimensions differ"):
         multiply(F, variable(3, 1))
 
 
@@ -133,7 +127,7 @@ def test_partial_derivative_examples():
     g = partial_derivative(partial_derivative(partial_derivative(
         monomial(2, (2, 1), 3.0), 1), 1), 2)
     assert g.terms == {(0, 0): 6.0}  # 2! * 1! * 3
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match="variable index 3 outside"):
         partial_derivative(F, 3)
 
 

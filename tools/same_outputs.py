@@ -98,6 +98,16 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("variance x1*x2", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "1000000", "--seed", "1"]))
+    # Error paths: two input errors (exit 3) and two resolution errors (exit 4).
+    zero = json.dumps({"n": 1, "terms": []})
+    runs += [
+        ("variance exponent length", ["variance", "--poly", json.dumps(
+            {"n": 2, "terms": [{"exp": [1], "coef": 1.0}]})]),
+        ("cf zero polynomial", ["cf", "--poly", zero, "--samples", "20000"]),
+        ("modulus zero polynomial", ["modulus", "--poly", zero, "--samples", "20000"]),
+        ("cf 100*x1", ["cf", "--poly", json.dumps(
+            {"n": 1, "terms": [{"exp": [1], "coef": 100.0}]}), "--samples", "10000"]),
+    ]
     return runs
 
 
