@@ -5,13 +5,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polygauss as pg
 from polygauss.cli import main
 from polygauss.errors import InputError, ResolutionError
-from polygauss.poly import dumps, monomial
+from polygauss.poly import dumps, monomial, scale
 
 X1X2 = dumps(monomial(2, (1, 1)))
 X1SQ = dumps(monomial(1, (2,)))
@@ -268,6 +270,31 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
 
 def test_error_classes_are_value_errors():
     assert issubclass(InputError, ValueError) and issubclass(ResolutionError, ValueError)
+
+
+def _oracle():
+    return pg.oracle_density("normal", -4.0, 4.0, 2048)
+
+
+# Each case names one condition that must end a run with exit 4, and raises it
+# the way a command would reach it.
+@pytest.mark.parametrize("trigger, message", [
+    pytest.param(lambda: pg.quantile_grid(np.ones(10), 64), "constant",
+                 id="DegenerateRange"),
+    pytest.param(lambda: pg.shift_modulus_curve(_oracle(), [_oracle().step * 1.5]),
+                 "below resolution", id="EpsilonBelowResolution"),
+    pytest.param(lambda: pg.cf_decay_check(
+        pg.ecf_modulus(pg.sample(scale(monomial(1, (1,)), 50.0), 10_000, seed=4),
+                       pg.default_t_grid(0.1, 100.0, 8)),
+        pg.EnvelopeParams(m=1, d=1, lead=50.0)),
+                 "less than a decade", id="InsufficientDecay"),
+    pytest.param(lambda: pg.degree_envelope_check(
+        0.0, pg.dual_modulus_curve(_oracle(), np.geomspace(0.02, 0.3, 6)), d=2),
+                 "positive variance", id="ZeroVariance"),
+])
+def test_exit_4_errors_are_resolution_errors(trigger, message):
+    with pytest.raises(ResolutionError, match=message):
+        trigger()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--poly"])
