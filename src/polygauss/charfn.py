@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,12 +63,6 @@ class CfCurve:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "stderr", s)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,modulus,stderr\n")
-            for t, m, s in zip(self.t, self.modulus, self.stderr):
-                fh.write(f"{float(t):.17g},{float(m):.17g},{float(s):.17g}\n")
 
 
 def default_t_grid(lo: float = 0.1, hi: float = 1e3, per_decade: int = 16) -> np.ndarray:

@@ -74,17 +74,17 @@ EXIT_RESOLUTION = 4
 # are held to the tight symmetric window instead.
 MC_SLOPE_RANGE = (-0.6, 1.0)
 
+CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's samples
+PERTURBATION = 0.1  # verify-all's distance check compares f with f + PERTURBATION * x1
+
 DEFAULTS = {
     "seed": 1,
     "samples": 1_000_000,
     "grid": 400,
-    "workers": 1,
     "out": "out",
     "svg": False,
     "eps": {"lo": None, "hi": 1.0, "per_decade": 12},
     "t": {"lo": 0.1, "hi": 1000.0, "per_decade": 16},
-    "cf_samples": 200_000,
-    "perturbation": 0.1,
     "corrupt_envelope_exponent": 0.0,
     "polynomial": None,
     "polynomial_b": None,
@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
         s.add_argument("--out", type=str, default=None)
         s.add_argument("--samples", type=int, default=None)
         s.add_argument("--grid", type=int, default=None)
-        s.add_argument("--workers", type=int, default=None)
         s.add_argument("--n", type=int, default=None)
         s.add_argument("--m", type=int, default=None)
         s.add_argument("--d", type=int, default=None)
@@ -123,8 +122,8 @@ _NUM = (int, float)
 
 # Accepted types of each config field; an object field maps its keys to theirs.
 SCHEMA = {
-    "seed": int, "samples": int, "grid": int, "workers": int, "cf_samples": int,
-    "out": str, "svg": bool, "perturbation": _NUM, "corrupt_envelope_exponent": _NUM,
+    "seed": int, "samples": int, "grid": int,
+    "out": str, "svg": bool, "corrupt_envelope_exponent": _NUM,
     "eps": {"lo": (*_NUM, type(None)), "hi": _NUM, "per_decade": int},
     "t": {"lo": _NUM, "hi": _NUM, "per_decade": int},
     "polynomial": (str, dict), "polynomial_b": (str, dict),
@@ -135,8 +134,7 @@ SCHEMA = {
 # Smallest accepted value of each integer field; "eps.per_decade" is the
 # per_decade key of the eps object.
 MINIMUM = {
-    "seed": 0, "samples": 1, "grid": 1, "workers": 1, "cf_samples": 1,
-    "eps.per_decade": 1, "t.per_decade": 1,
+    "seed": 0, "samples": 1, "grid": 1, "eps.per_decade": 1, "t.per_decade": 1,
 }
 
 
@@ -178,8 +176,7 @@ def _load_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     flags = {
         "seed": args.seed, "out": args.out, "samples": args.samples, "grid": args.grid,
-        "workers": args.workers, "svg": args.svg, "polynomial": args.poly,
-        "polynomial_b": args.poly_b,
+        "svg": args.svg, "polynomial": args.poly, "polynomial_b": args.poly_b,
     }
     cfg.update({k: v for k, v in flags.items() if v is not None})
     fam = {k: v for k in ("n", "m", "d", "count") if (v := getattr(args, k)) is not None}
@@ -230,6 +227,13 @@ class _Run:
         self.files.append(name)
         return self.out / name
 
+    def write_csv(self, name: str, header: str, *columns) -> None:
+        """One row per index of ``columns``; ``.17g`` reads back every float exactly."""
+        with open(self.path(name), "w") as fh:
+            fh.write(header + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
     def write_json(self, name: str, payload) -> None:
         self.path(name).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -260,7 +264,7 @@ class _Run:
 
 def _sample(run: _Run, f: Polynomial, cfg: dict, seed: int) -> SampleSet:
     with run.stage("sample"):
-        s = sample(f, cfg["samples"], seed, workers=cfg["workers"])
+        s = sample(f, cfg["samples"], seed)
     run.count("samples_drawn", s.count)
     return s
 
@@ -274,8 +278,10 @@ def _sample_and_histogram(
 
 
 def _envelope_params(f: Polynomial) -> EnvelopeParams:
-    lead, _ = leading_magnitude(f)
-    return EnvelopeParams(m=max(1, max_var_power(f)), d=max(1, degree(f)), lead=lead)
+    lead, _ = leading_magnitude(f)  # first, so the zero polynomial keeps its own message
+    if degree(f) == 0:
+        raise InputError("the scaling laws need a non-constant polynomial")
+    return EnvelopeParams(m=max_var_power(f), d=degree(f), lead=lead)
 
 
 def _modulus_reports(rho: GriddedDensity, params: EnvelopeParams, cfg: dict):
@@ -295,7 +301,7 @@ def _maybe_svg(run: _Run, cfg: dict, name: str, x, y, title, xlab, ylab) -> None
     if cfg["svg"]:
         from .svg import line_chart
 
-        line_chart(run.path(name), x, y, title, xlab, ylab, logx=True, logy=True)
+        line_chart(run.path(name), x, y, title, xlab, ylab)
 
 
 # --- Subcommands --------------------------------------------------------------
@@ -342,13 +348,12 @@ def cmd_modulus(cfg: dict) -> int:
         omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
     save_samples(s, run.path("samples.bin"), polynomial=f)
     run.files.append("samples.bin.json")
-    omega.to_csv(run.path("omega.csv"))
-    sigma.to_csv(run.path("sigma.csv"))
-    with open(run.path("envelope_ratios.csv"), "w") as fh:
-        fh.write("eps,ratio\n")
-        for row in env_report.rows:
-            ratio = row.lhs / (row.rhs / env_report.fitted_constant)
-            fh.write(f"{row.eps:.17g},{ratio:.17g}\n")
+    run.write_csv("omega.csv", "eps,value", omega.eps, omega.values)
+    run.write_csv("sigma.csv", "eps,value", sigma.eps, sigma.values)
+    run.write_csv("envelope_ratios.csv", "eps,ratio",
+                  [row.eps for row in env_report.rows],
+                  [row.lhs / (row.rhs / env_report.fitted_constant)
+                   for row in env_report.rows])
     run.write_json("modulus_report.json", {
         "envelope": env_report.to_json_dict(),
         "equivalence": equiv_report.to_json_dict(),
@@ -377,7 +382,7 @@ def cmd_cf(cfg: dict) -> int:
         curve = ecf_modulus(s, default_t_grid(**cfg["t"]))
         report = cf_decay_check(curve, params)
     alpha_new, alpha_prior = decay_exponents(params, f.n)
-    curve.to_csv(run.path("cf_curve.csv"))
+    run.write_csv("cf_curve.csv", "t,modulus,stderr", curve.t, curve.modulus, curve.stderr)
     run.write_json("cf_report.json", {
         "decay": report.to_json_dict(),
         "log_exponents": {
@@ -487,11 +492,11 @@ def cmd_verify_all(cfg: dict) -> int:
             record(env_report)
             record(degree_envelope_check(variance(f), sigma, env_params.d))
 
-            cf_sub = SampleSet(s.values[: cfg["cf_samples"]], s.seed)
+            cf_sub = SampleSet(s.values[:CF_SAMPLES], s.seed)
             curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
             record(cf_decay_check(curve, env_params))
 
-        g = add(f, scale(variable(params.n, 1), cfg["perturbation"]))
+        g = add(f, scale(variable(params.n, 1), PERTURBATION))
         record(_distance_reports(run, env_params, s, g, cfg, int(seeds[3 * k + 2]))[1])
 
     verdict = all(v["passed"] == v["total"] for v in families.values())

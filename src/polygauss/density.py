@@ -10,7 +10,7 @@ integrable singularities (e.g. the chi-square(1) blow-up at zero).
 Sampling is deterministic and reproducible: the stream is a Philox counter-
 based generator keyed through ``numpy.random.SeedSequence(seed).spawn``, one
 substream per fixed-size chunk of the output, with normals drawn by numpy's
-ziggurat method.  Results are bit-identical for any worker count because
+ziggurat method.  Results are bit-identical for any thread count because
 chunk boundaries are fixed and each chunk writes its own slice of the output.
 Inside a chunk, rows are drawn and evaluated in blocks of about
 ``BLOCK_BYTES`` of normals, so memory does not grow with n times the chunk
@@ -22,6 +22,7 @@ value: the stream is the one a single (chunk, n) draw would give.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,7 @@ from .poly import Polynomial, evaluate_batch, from_json_dict, to_json_dict
 
 SAMPLE_CHUNK = 1 << 20
 BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
+THREADS = os.cpu_count() or 1  # most chunks drawn at once
 MASS_TOL = 1e-3
 TAIL_QUANTILE = 1e-4
 
@@ -55,13 +57,11 @@ class SampleSet:
         return int(self.values.shape[0])
 
 
-def sample(
-    f: Polynomial, n_samples: int, seed: int, workers: int = 1
-) -> SampleSet:
+def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
     """Draw ``n_samples`` i.i.d. values of f(X), X standard normal in R^n.
 
-    The output depends only on (f, seed, n_samples); ``workers`` controls
-    parallelism of the fixed chunks, never the values.
+    The output depends only on (f, seed, n_samples); how many chunks are
+    drawn at once never changes the values.
     """
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
@@ -70,6 +70,8 @@ def sample(
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     # the floor keeps per-block Python overhead small next to the arithmetic
     rows = max(4096, BLOCK_BYTES // (8 * f.n))
+    if rows * f.n > np.iinfo(np.intp).max // 8:
+        raise InputError(f"a block of {rows} rows of {f.n} normals is too large to allocate")
 
     def draw(i: int) -> None:
         gen = np.random.Generator(np.random.Philox(children[i]))
@@ -83,11 +85,12 @@ def sample(
                 raise InputError("polynomial values overflow a float at some samples")
             values[lo:hi] = block
 
-    if workers <= 1 or n_chunks == 1:
+    threads = min(n_chunks, THREADS)
+    if threads == 1:
         for i in range(n_chunks):
             draw(i)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(draw, range(n_chunks)))
     return SampleSet(values, seed)
 

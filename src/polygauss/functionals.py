@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -67,7 +66,6 @@ def log_bracket(u: float, exponent: float) -> float:
 class ModulusCurve:
     """Finite table eps -> functional value, eps strictly increasing."""
 
-    kind: str
     eps: np.ndarray
     values: np.ndarray
 
@@ -86,12 +84,6 @@ class ModulusCurve:
         v.setflags(write=False)
         object.__setattr__(self, "eps", e)
         object.__setattr__(self, "values", v)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("eps,value\n")
-            for e, v in zip(self.eps, self.values):
-                fh.write(f"{float(e):.17g},{float(v):.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -229,7 +221,7 @@ def shift_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
     """
     ks = sorted({max_shift_index(rho, e) for e in eps_values})
     eps_out = np.array([k * rho.step for k in ks])
-    return ModulusCurve("shift", eps_out, _shift_moduli(rho, ks))
+    return ModulusCurve(eps_out, _shift_moduli(rho, ks))
 
 
 # --- Dual modulus ------------------------------------------------------------
@@ -269,7 +261,7 @@ def dual_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
         raise InputError("dual modulus probes must be positive")
     w = _telescoped_weights(rho.values)
     vals = np.array([solve_chain_lp(w, _dual_box(rho, e), rho.step) for e in eps_sorted])
-    return ModulusCurve("dual", eps_sorted, np.maximum.accumulate(vals))
+    return ModulusCurve(eps_sorted, np.maximum.accumulate(vals))
 
 
 def default_probe_grid(

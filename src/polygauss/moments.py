@@ -104,8 +104,7 @@ class HermiteExpansion:
 
     @property
     def variance(self) -> float:
-        zero = (0,) * self.n
-        return sum(c * c for k, c in self.coeffs.items() if k != zero)
+        return sum(c * c for k, c in self.coeffs.items() if any(k))
 
 
 @lru_cache(maxsize=None)

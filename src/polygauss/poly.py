@@ -323,11 +323,20 @@ def to_json_dict(f: Polynomial) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def from_json_dict(data: Mapping) -> Polynomial:
+    """The polynomial of ``{"n": int, "terms": [{"exp": [int, ...], "coef": number}]}``."""
     try:
-        n = int(data["n"])
-        raw = data["terms"]
-        terms = {tuple(int(e) for e in t["exp"]): float(t["coef"]) for t in raw}
+        n, raw = data["n"], data["terms"]
+        exps, coefs = [t["exp"] for t in raw], [t["coef"] for t in raw]
+        if not all(_is_int(v) for v in (n, *(e for exp in exps for e in exp))):
+            raise TypeError("n and every exponent must be integers")
+        if not all(_is_int(c) or isinstance(c, float) for c in coefs):
+            raise TypeError("every coefficient must be a number")
+        terms = {tuple(exp): float(c) for exp, c in zip(exps, coefs)}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed polynomial object: {exc}") from exc
     return Polynomial(n, terms)

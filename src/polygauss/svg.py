@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG line charts for curve diagnostics.
+"""Minimal self-contained log-log SVG line charts for curve diagnostics.
 
 Deterministic output: same data, same bytes.
 """
@@ -14,22 +14,10 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        return [10.0 ** e for e in range(lo_e, hi_e + 1) if lo <= 10.0 ** e <= hi]
-    span = hi - lo
-    raw = span / 5
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = min(x for x in (mag, 2 * mag, 5 * mag, 10 * mag) if x >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        out.append(t)
-        t += step
-    return out
+def _ticks(lo: float, hi: float) -> list[float]:
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    return [10.0 ** e for e in range(lo_e, hi_e + 1) if lo <= 10.0 ** e <= hi]
 
 
 def line_chart(
@@ -39,28 +27,17 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    logx: bool = False,
-    logy: bool = False,
 ) -> None:
+    """Chart y against x on log-log axes, leaving out points not finite and positive."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    keep = np.isfinite(x) & np.isfinite(y)
-    if logx:
-        keep &= x > 0
-    if logy:
-        keep &= y > 0
+    keep = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)
     x, y = x[keep], y[keep]
     if x.size < 2:
         Path(path).write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")
         return
 
-    def tx(v: np.ndarray) -> np.ndarray:
-        return np.log10(v) if logx else v
-
-    def ty(v: np.ndarray) -> np.ndarray:
-        return np.log10(v) if logy else v
-
-    xv, yv = tx(x), ty(y)
+    xv, yv = np.log10(x), np.log10(y)
     x0, x1 = float(xv.min()), float(xv.max())
     y0, y1 = float(yv.min()), float(yv.max())
     if x1 == x0:
@@ -84,16 +61,16 @@ def line_chart(
         f"<rect x='{_ML}' y='{_MT}' width='{_W - _ML - _MR}' height='{_H - _MT - _MB}' "
         f"fill='none' stroke='black'/>",
     ]
-    for t in _ticks(x.min(), x.max(), logx):
-        xp = px(math.log10(t) if logx else t)
+    for t in _ticks(x.min(), x.max()):
+        xp = px(math.log10(t))
         parts.append(
             f"<line x1='{xp:.1f}' y1='{_H - _MB}' x2='{xp:.1f}' y2='{_H - _MB + 4}' stroke='black'/>"
         )
         parts.append(
             f"<text x='{xp:.1f}' y='{_H - _MB + 16}' text-anchor='middle'>{t:g}</text>"
         )
-    for t in _ticks(10.0 ** y0 if logy else y0, 10.0 ** y1 if logy else y1, logy):
-        yp = py(math.log10(t) if logy else t)
+    for t in _ticks(10.0 ** y0, 10.0 ** y1):
+        yp = py(math.log10(t))
         if not _MT <= yp <= _H - _MB:
             continue
         parts.append(

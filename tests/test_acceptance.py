@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import ndtr
 
 import polygauss as pg
+import polygauss.density as density
 from polygauss.cli import main as cli_main
 from polygauss.lp import solve_chain_lp
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
@@ -74,7 +75,7 @@ def test_criterion_2_cf_oracles(x1_samples, x1sq_samples, x1x2_samples):
 
 
 def test_criterion_3_gaussian_shift_modulus():
-    s = pg.sample(monomial(1, (1,)), 30_000_000, seed=101, workers=4)
+    s = pg.sample(monomial(1, (1,)), 30_000_000, seed=101)
     h = pg.histogram_density(s, 3200)
     worst = 0.0
     for eps in (0.05, 0.1, 0.2):
@@ -192,7 +193,7 @@ def test_criterion_7_distance_comparison(x1x2_samples):
     assert bounded
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     cfg = {
         "family": {"n": 2, "m": 1, "d": 2, "count": 2},
         "samples": 150_000, "grid": 128, "seed": 7,
@@ -211,14 +212,16 @@ def test_criterion_8_determinism(tmp_path):
     bytes_ok = outputs[0] == outputs[1]
 
     f = random_in_class(ClassParams(3, 2, 4), seed=88)
-    s1 = pg.sample(f, 2_500_000, seed=99, workers=1)
-    s8 = pg.sample(f, 2_500_000, seed=99, workers=8)
-    workers_ok = np.array_equal(s1.values, s8.values)
-    ok = bytes_ok and workers_ok
+    monkeypatch.setattr(density, "THREADS", 1)
+    s1 = pg.sample(f, 2_500_000, seed=99)
+    monkeypatch.setattr(density, "THREADS", 8)
+    s8 = pg.sample(f, 2_500_000, seed=99)
+    threads_ok = np.array_equal(s1.values, s8.values)
+    ok = bytes_ok and threads_ok
     report(8, "determinism", ok,
-           f"byte-identical outputs: {bytes_ok}, worker-count invariance: {workers_ok}")
+           f"byte-identical outputs: {bytes_ok}, thread-count invariance: {threads_ok}")
     assert bytes_ok
-    assert workers_ok
+    assert threads_ok
 
 
 def test_criterion_9_verify_all_budget(tmp_path):

@@ -195,10 +195,3 @@ def test_decay_exponents():
     assert pg.decay_exponents(pg.EnvelopeParams(m=2, d=2), 4) == (0.0, 4.5)
     assert pg.decay_exponents(pg.EnvelopeParams(m=1, d=3), 10) == (2.0, 12.5)
 
-
-def test_curve_csv(tmp_path, x1_samples):
-    curve = pg.ecf_modulus(x1_samples, [0.5, 1.0, 2.0])
-    curve.to_csv(tmp_path / "cf.csv")
-    lines = (tmp_path / "cf.csv").read_text().splitlines()
-    assert lines[0] == "t,modulus,stderr"
-    assert len(lines) == 4

@@ -17,6 +17,7 @@ from polygauss.poly import dumps, monomial, scale
 
 X1X2 = dumps(monomial(2, (1, 1)))
 X1SQ = dumps(monomial(1, (2,)))
+CONSTANT = '{"n": 1, "terms": [{"exp": [0], "coef": 3.0}]}'
 
 
 def run(args):
@@ -75,6 +76,16 @@ def test_modulus_command_files_and_rerun(tmp_path):
     for name in ("omega.csv", "sigma.csv", "envelope_ratios.csv",
                  "modulus_report.json", "samples.bin", "run_manifest.json"):
         assert (out1 / name).exists()
+    # omega and the envelope ratios have a row per envelope probe; sigma a row
+    # per eps, where the equivalence check has two
+    report = json.loads((out1 / "modulus_report.json").read_text())
+    n_env = len(report["envelope"]["probes"])
+    n_sigma = len(report["equivalence"]["probes"]) // 2
+    for name, header, rows in (("omega.csv", "eps,value", n_env),
+                               ("sigma.csv", "eps,value", n_sigma),
+                               ("envelope_ratios.csv", "eps,ratio", n_env)):
+        lines = (out1 / name).read_text().splitlines()
+        assert lines[0] == header and len(lines) == 1 + rows, name
     out2 = tmp_path / "m2"
     assert run(args + ["--out", str(out2)]) == 0
     assert read_outputs(out1) == read_outputs(out2)
@@ -119,7 +130,9 @@ def test_cf_command(tmp_path, capsys):
     assert report["decay"]["verdict"] is True
     assert report["log_exponents"]["structure_aware"] == 0.0
     assert "log-exponent comparison" in capsys.readouterr().out
-    assert (tmp_path / "cf" / "cf_curve.csv").exists()
+    lines = (tmp_path / "cf" / "cf_curve.csv").read_text().splitlines()
+    assert lines[0] == "t,modulus,stderr"
+    assert len(lines) == 1 + len(pg.default_t_grid())
 
 
 def test_cf_noise_floor_exit(tmp_path):
@@ -180,9 +193,9 @@ def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
 
     drawn, real_sample = [], cli.sample
 
-    def counting_sample(f, n_samples, seed, workers=1):
+    def counting_sample(f, n_samples, seed):
         drawn.append(f)
-        return real_sample(f, n_samples, seed, workers=workers)
+        return real_sample(f, n_samples, seed)
 
     monkeypatch.setattr(cli, "sample", counting_sample)
     cfg = small_family_cfg(tmp_path, "va")
@@ -253,19 +266,33 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
     assert "exponent tuples" in err
 
 
-# The last two ask for 10^17 float64 samples or 3 * 10^17 member seeds, more
-# bytes than a 64-bit address space holds, so the allocation fails at once.
+# The third and fourth ask for 10^17 float64 samples or 3 * 10^17 member
+# seeds, more bytes than a 64-bit address space holds, so the allocation fails
+# at once; the last three ask for blocks of normals in 10^17 variables, which
+# sampling refuses before it allocates them.
 @pytest.mark.parametrize("argv, code", [
     (["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1"], 3),
     (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [0], "coef": 2.0}]}'], 4),
     (["variance", "--poly", X1X2, "--samples", str(10**17)], 3),
     (["verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", str(10**17)], 3),
+    *[([command, "--poly", '{"n": 100000000000000000, "terms": []}'], 3)
+      for command in ("variance", "modulus", "cf")],
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert run([*argv, "--out", str(tmp_path / "big")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.strip() != "error:"
     assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--poly", CONSTANT],
+    ["distance", "--poly", CONSTANT, "--poly-b", dumps(monomial(1, (1,)))],
+])
+def test_scaling_laws_need_a_non_constant_polynomial(tmp_path, capsys, argv):
+    assert run([*argv, "--samples", "20000", "--out", str(tmp_path / "x")]) == 3
+    assert "non-constant polynomial" in capsys.readouterr().err
 
 
 def test_error_classes_are_value_errors():
@@ -446,13 +473,12 @@ BASE = st.fixed_dictionaries(
      "grid": st.sampled_from([16, 64])},
     optional={
         "seed": st.integers(-2, 50),
-        "workers": st.integers(-2, 2),
         "eps": EPS,
         "t": T,
     },
 )
 # Count fields, which must be at least 1; "eps.per_decade" is eps's key.
-COUNT_FIELDS = ("samples", "grid", "workers", "cf_samples", "eps.per_decade", "t.per_decade")
+COUNT_FIELDS = ("samples", "grid", "eps.per_decade", "t.per_decade")
 
 
 def _count_below_one(cfg):

@@ -22,24 +22,27 @@ from polygauss.poly import (
 )
 
 
-def test_sample_determinism_and_worker_independence():
+def test_sample_determinism_and_worker_independence(monkeypatch):
     f = monomial(2, (1, 1))
     a = pg.sample(f, 50_000, seed=5)
     b = pg.sample(f, 50_000, seed=5)
-    c = pg.sample(f, 50_000, seed=5, workers=8)
+    monkeypatch.setattr(density, "THREADS", 8)
+    c = pg.sample(f, 50_000, seed=5)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
     d = pg.sample(f, 50_000, seed=6)
     assert not np.array_equal(a.values, d.values)
 
 
-def test_sample_worker_independence_across_chunks():
+def test_sample_worker_independence_across_chunks(monkeypatch):
     # more samples than one chunk so the split actually matters
     f = monomial(1, (1,))
     n = (1 << 20) + 12_345
-    a = pg.sample(f, n, seed=9, workers=1)
-    b = pg.sample(f, n, seed=9, workers=8)
-    assert np.array_equal(a.values, b.values)
+    got = []
+    for threads in (1, 8):
+        monkeypatch.setattr(density, "THREADS", threads)
+        got.append(pg.sample(f, n, seed=9).values)
+    assert np.array_equal(*got)
 
 
 # sha256 of sample(...).values at 200k samples for verify-all members: f and
@@ -83,15 +86,16 @@ def _values_digest(s) -> str:
     return hashlib.sha256(s.values.tobytes()).hexdigest()
 
 
-def test_sample_stream_is_pinned():
+def test_sample_stream_is_pinned(monkeypatch):
     for (nmd, s), want in STREAM_DIGESTS.items():
         draws = _member_draws(ClassParams(*nmd), s)
         got = tuple(_values_digest(pg.sample(p, 200_000, seed)) for p, seed in draws)
         assert got == want, (nmd, s)
     (f, seed), _ = _member_draws(ClassParams(14, 2, 3), 1)
-    for workers in (1, 2):
-        s = pg.sample(f, (1 << 20) + 12_345, seed, workers=workers)
-        assert _values_digest(s) == TWO_CHUNK_DIGEST, workers
+    for threads in (1, 2):
+        monkeypatch.setattr(density, "THREADS", threads)
+        s = pg.sample(f, (1 << 20) + 12_345, seed)
+        assert _values_digest(s) == TWO_CHUNK_DIGEST, threads
 
 
 def test_sample_values_do_not_depend_on_block_size(monkeypatch):
@@ -100,9 +104,10 @@ def test_sample_values_do_not_depend_on_block_size(monkeypatch):
     want = pg.sample(f, n, seed=11).values
     for block_bytes in (1, 8 * f.n * 2 * SAMPLE_CHUNK):  # 4096 rows; whole chunks
         monkeypatch.setattr(density, "BLOCK_BYTES", block_bytes)
-        for workers in (1, 2):
-            got = pg.sample(f, n, seed=11, workers=workers).values
-            assert np.array_equal(got, want), (block_bytes, workers)
+        for threads in (1, 2):
+            monkeypatch.setattr(density, "THREADS", threads)
+            got = pg.sample(f, n, seed=11).values
+            assert np.array_equal(got, want), (block_bytes, threads)
 
 
 def test_sample_checks_overflow_in_the_last_block(monkeypatch):

@@ -235,7 +235,7 @@ def test_envelope_fit_self_consistency():
     p = pg.EnvelopeParams(m=2, d=3)
     eps = np.geomspace(1e-3, 0.1, 20)
     vals = np.array([pg.modulus_envelope(p, e) for e in eps])
-    curve = ModulusCurve("shift", eps, vals)
+    curve = ModulusCurve(eps, vals)
     report = pg.envelope_check(curve, p)
     assert report.fitted_constant == pytest.approx(1.0)
     assert report.extras["ratio_slope"] == pytest.approx(0.0, abs=1e-9)
@@ -450,11 +450,11 @@ def test_rate_ratio_guards():
 
 def test_curve_validation():
     with pytest.raises(InputError):
-        ModulusCurve("shift", np.array([0.2, 0.1]), np.array([0.1, 0.2]))
+        ModulusCurve(np.array([0.2, 0.1]), np.array([0.1, 0.2]))
     with pytest.raises(InputError):
-        ModulusCurve("shift", np.array([0.1, 0.2]), np.array([0.2, 0.1]))
+        ModulusCurve(np.array([0.1, 0.2]), np.array([0.2, 0.1]))
     with pytest.raises(InputError):
-        ModulusCurve("shift", np.array([0.1, 0.2]), np.array([0.1, 3.0]))
+        ModulusCurve(np.array([0.1, 0.2]), np.array([0.1, 3.0]))
 
 
 def test_report_json_shape(normal_oracle):
@@ -470,10 +470,3 @@ def test_boundary_correction_scales_with_eps(chisq_oracle):
         0.5 * chisq_oracle.clipped_mass
     )
 
-
-def test_curve_csv(tmp_path, normal_oracle):
-    curve = pg.shift_modulus_curve(normal_oracle, [0.05, 0.1])
-    curve.to_csv(tmp_path / "c.csv")
-    lines = (tmp_path / "c.csv").read_text().splitlines()
-    assert lines[0] == "eps,value"
-    assert len(lines) == 3

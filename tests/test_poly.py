@@ -295,4 +295,14 @@ def test_json_validation():
         from_json_dict({"n": 2, "terms": [{"exp": [1], "coef": 1.0}]})
     with pytest.raises(InputError):
         from_json_dict({"n": 2, "terms": [{"exp": [1, -1], "coef": 1.0}]})
+    # n and exponents are JSON integers, coefficients JSON numbers; a bool is neither
+    for bad in ('{"n": 1.5, "terms": []}', '{"n": true, "terms": []}',
+                '{"n": 1, "terms": [{"exp": [1.7], "coef": 1.0}]}',
+                '{"n": 1, "terms": [{"exp": [true], "coef": 1.0}]}',
+                '{"n": 1, "terms": [{"exp": "1", "coef": 1.0}]}',
+                '{"n": 1, "terms": [{"exp": [1], "coef": "2"}]}',
+                '{"n": 1, "terms": [{"exp": [1], "coef": true}]}'):
+        with pytest.raises(InputError, match="malformed polynomial object"):
+            loads(bad)
+    assert loads('{"n": 1, "terms": [{"exp": [1], "coef": 2}]}') == monomial(1, (1,), 2.0)
     assert from_json_dict(to_json_dict(F)) == F

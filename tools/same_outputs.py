@@ -98,6 +98,18 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("variance x1*x2", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "1000000", "--seed", "1"]))
+    # Three chunks of 2^20 samples, so sampling draws more than one at once
+    # wherever there is more than one CPU.
+    runs.append(("variance x1*x2 three chunks", [
+        "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--samples", "3000000", "--seed", "2"]))
+    # The CSV and SVG writers of modulus and cf.
+    runs.append(("modulus x1*x2 svg", [
+        "modulus", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]), "--samples", "200000",
+        "--grid", "400", "--seed", "3", "--svg"]))
+    runs.append(("cf index=1 svg", [
+        "cf", "--poly", json.dumps(CF_POLYS[1]), "--samples", "200000",
+        "--seed", "1", "--svg"]))
     # Error paths: two input errors (exit 3) and two resolution errors (exit 4).
     zero = json.dumps({"n": 1, "terms": []})
     runs += [
