@@ -46,11 +46,9 @@ from .density import (
     SampleSet,
     ecdf,
     histogram_density,
-    load_samples,
     oracle_density,
     quantile_grid,
     sample,
-    save_samples,
 )
 from .functionals import (
     BoundReport,

@@ -1,9 +1,10 @@
 """Command-line harness: polynomial -> samples -> density -> functionals -> reports.
 
 Subcommands: variance | modulus | cf | distance | verify-all.
-A single JSON config document is the source of truth; CLI flags override
-top-level fields.  Identical config + seed reproduces byte-identical data
-outputs (timings live only in the run manifest).
+A single flat JSON config document is the source of truth; each flag
+overrides the config field of the same name.  Identical config + seed
+reproduces byte-identical data outputs (timings live only in the run
+manifest).
 
 Exit codes: 0 all verdicts pass, 2 verdict failure, 3 input error,
 4 resolution or noise-floor error.
@@ -31,7 +32,6 @@ from .density import (
     histogram_density,
     quantile_grid,
     sample,
-    save_samples,
 )
 from .errors import InputError, ResolutionError
 from .functionals import (
@@ -60,6 +60,7 @@ from .poly import (
     max_var_power,
     random_in_class,
     scale,
+    to_json_dict,
     variable,
 )
 
@@ -83,12 +84,13 @@ DEFAULTS = {
     "grid": 400,
     "out": "out",
     "svg": False,
-    "eps": {"lo": None, "hi": 1.0, "per_decade": 12},
-    "t": {"lo": 0.1, "hi": 1000.0, "per_decade": 16},
     "corrupt_envelope_exponent": 0.0,
     "polynomial": None,
     "polynomial_b": None,
-    "family": None,
+    "n": None,
+    "m": None,
+    "d": None,
+    "count": 10,
 }
 
 
@@ -111,38 +113,29 @@ def _build_parser() -> _Parser:
         s.add_argument("--m", type=int, default=None)
         s.add_argument("--d", type=int, default=None)
         s.add_argument("--count", type=int, default=None, help="family size K")
-        s.add_argument("--poly", type=str, default=None,
+        s.add_argument("--poly", dest="polynomial", type=str, default=None,
                        help="inline polynomial JSON or @path")
-        s.add_argument("--poly-b", type=str, default=None)
+        s.add_argument("--poly-b", dest="polynomial_b", type=str, default=None)
         s.add_argument("--svg", action="store_true", default=None)
     return p
 
 
 _NUM = (int, float)
 
-# Accepted types of each config field; an object field maps its keys to theirs.
+# Accepted types of each config field.
 SCHEMA = {
     "seed": int, "samples": int, "grid": int,
     "out": str, "svg": bool, "corrupt_envelope_exponent": _NUM,
-    "eps": {"lo": (*_NUM, type(None)), "hi": _NUM, "per_decade": int},
-    "t": {"lo": _NUM, "hi": _NUM, "per_decade": int},
     "polynomial": (str, dict), "polynomial_b": (str, dict),
-    "family": {"n": int, "m": int, "d": int, "count": int},
+    "n": int, "m": int, "d": int, "count": int,
 }
 
-
-# Smallest accepted value of each integer field; "eps.per_decade" is the
-# per_decade key of the eps object.
-MINIMUM = {
-    "seed": 0, "samples": 1, "grid": 1, "eps.per_decade": 1, "t.per_decade": 1,
-}
+# Smallest accepted value of each integer field but n, m and d, which
+# ClassParams checks.
+MINIMUM = {"seed": 0, "samples": 1, "grid": 1, "count": 0}
 
 
 def _fits(val, rule) -> bool:
-    if isinstance(rule, dict):
-        return isinstance(val, dict) and set(val) <= set(rule) and all(
-            _fits(v, rule[k]) for k, v in val.items()
-        )
     return isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
 
 
@@ -157,7 +150,7 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
+    cfg = dict(DEFAULTS)
     if args.config is not None:
         try:
             user = json.loads(_read_text(Path(args.config), "config"))
@@ -169,23 +162,13 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
         for key, val in user.items():
-            if isinstance(cfg[key], dict) and isinstance(val, dict):
-                val = {**cfg[key], **val}  # a partial eps or t keeps the other defaults
             if not ((val is None and DEFAULTS[key] is None) or _fits(val, SCHEMA[key])):
                 raise InputError(f"invalid config field {key!r}: {json.dumps(val)}")
-            cfg[key] = val
-    flags = {
-        "seed": args.seed, "out": args.out, "samples": args.samples, "grid": args.grid,
-        "svg": args.svg, "polynomial": args.poly, "polynomial_b": args.poly_b,
-    }
-    cfg.update({k: v for k, v in flags.items() if v is not None})
-    fam = {k: v for k in ("n", "m", "d", "count") if (v := getattr(args, k)) is not None}
-    cfg["family"] = {**(cfg["family"] or {}), **fam} or None
+        cfg.update(user)
+    cfg.update({k: v for k in DEFAULTS if (v := getattr(args, k, None)) is not None})
     for name, least in MINIMUM.items():
-        obj, _, key = name.rpartition(".")
-        val = cfg[obj][key] if obj else cfg[key]
-        if val < least:
-            raise InputError(f"{name} must be >= {least}, got {val}")
+        if cfg[name] < least:
+            raise InputError(f"{name} must be >= {least}, got {cfg[name]}")
     return cfg
 
 
@@ -287,7 +270,7 @@ def _envelope_params(f: Polynomial) -> EnvelopeParams:
 def _modulus_reports(rho: GriddedDensity, params: EnvelopeParams, cfg: dict):
     """Probe grid, shift and dual modulus curves, and the envelope and
     equivalence reports built from them: (omega, sigma, envelope, equivalence)."""
-    probes = default_probe_grid(rho, **cfg["eps"])
+    probes = default_probe_grid(rho)
     omega = shift_modulus_curve(rho, probes)
     sigma = dual_modulus_curve(rho, probes)
     env_report = envelope_check(
@@ -346,8 +329,9 @@ def cmd_modulus(cfg: dict) -> int:
     params = _envelope_params(f)
     with run.stage("checks"):
         omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
-    save_samples(s, run.path("samples.bin"), polynomial=f)
-    run.files.append("samples.bin.json")
+    s.values.astype("<f8", copy=False).tofile(run.path("samples.bin"))
+    run.write_json("samples.bin.json",
+                   {"seed": s.seed, "N": s.count, "polynomial": to_json_dict(f)})
     run.write_csv("omega.csv", "eps,value", omega.eps, omega.values)
     run.write_csv("sigma.csv", "eps,value", sigma.eps, sigma.values)
     run.write_csv("envelope_ratios.csv", "eps,ratio",
@@ -379,7 +363,7 @@ def cmd_cf(cfg: dict) -> int:
     s = _sample(run, f, cfg, cfg["seed"])
     params = _envelope_params(f)
     with run.stage("checks"):
-        curve = ecf_modulus(s, default_t_grid(**cfg["t"]))
+        curve = ecf_modulus(s, default_t_grid())
         report = cf_decay_check(curve, params)
     alpha_new, alpha_prior = decay_exponents(params, f.n)
     run.write_csv("cf_curve.csv", "t,modulus,stderr", curve.t, curve.modulus, curve.stderr)
@@ -453,13 +437,10 @@ def cmd_distance(cfg: dict) -> int:
 
 
 def cmd_verify_all(cfg: dict) -> int:
-    fam = cfg["family"]
-    if not fam or not all(k in fam for k in ("n", "m", "d")):
-        raise InputError("verify-all needs a family spec with n, m, d")
-    params = ClassParams(int(fam["n"]), int(fam["m"]), int(fam["d"]))
-    count = int(fam.get("count", 10))
-    if count < 0:
-        raise InputError(f"family count must be >= 0, got {count}")
+    if None in (cfg["n"], cfg["m"], cfg["d"]):
+        raise InputError("verify-all needs n, m and d")
+    params = ClassParams(cfg["n"], cfg["m"], cfg["d"])
+    count = cfg["count"]
     run = _Run(cfg)
     seeds = np.random.SeedSequence(cfg["seed"]).generate_state(
         max(3 * count, 1), dtype=np.uint64

@@ -21,17 +21,15 @@ value: the stream is the one a single (chunk, n) draw would give.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, roots_legendre
 
 from .errors import InputError, ResolutionError
-from .poly import Polynomial, evaluate_batch, from_json_dict, to_json_dict
+from .poly import Polynomial, evaluate_batch
 
 SAMPLE_CHUNK = 1 << 20
 BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
@@ -330,38 +328,3 @@ class EmpiricalCdf:
 
 def ecdf(s: SampleSet) -> EmpiricalCdf:
     return EmpiricalCdf(s)
-
-
-# --- Persistence ------------------------------------------------------------
-
-
-def save_samples(
-    s: SampleSet, path: str | Path, polynomial: Polynomial | None = None
-) -> None:
-    """Write little-endian float64 values plus a JSON sidecar
-    {seed, N, polynomial} next to them."""
-    path = Path(path)
-    s.values.astype("<f8", copy=False).tofile(path)
-    sidecar = {
-        "seed": s.seed,
-        "N": s.count,
-        "polynomial": to_json_dict(polynomial) if polynomial is not None else None,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
-
-
-def load_samples(path: str | Path) -> tuple[SampleSet, Polynomial | None]:
-    path = Path(path)
-    try:
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        values = np.frombuffer(path.read_bytes(), dtype="<f8")
-        seed = int(sidecar["seed"])
-        n = int(sidecar["N"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"cannot load sample set from {path}: {exc}") from exc
-    if values.shape[0] != n:
-        raise InputError(f"sidecar says N={n} but file holds {values.shape[0]} values")
-    poly = from_json_dict(sidecar["polynomial"]) if sidecar.get("polynomial") else None
-    return SampleSet(values.astype(np.float64), seed), poly

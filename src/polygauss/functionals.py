@@ -264,23 +264,13 @@ def dual_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
     return ModulusCurve(eps_sorted, np.maximum.accumulate(vals))
 
 
-def default_probe_grid(
-    rho: GriddedDensity,
-    lo: float | None = None,
-    hi: float = 1.0,
-    per_decade: int = 12,
-) -> np.ndarray:
-    """Geometric probe grid over [lo, hi], lo defaulting to max(2*step, 1e-3);
-    a default lo at or above hi means the grid is too coarse to probe."""
-    if lo is None:
-        lo = max(2.0 * rho.step, 1e-3)
-        if lo >= hi:
-            raise ResolutionError(
-                f"resolution floor {lo} leaves no probe below {hi}"
-            )
-    elif not 0 < lo < hi:
-        raise InputError(f"probe range [{lo}, {hi}] is empty")
-    return geometric_grid(lo, hi, per_decade)
+def default_probe_grid(rho: GriddedDensity) -> np.ndarray:
+    """Geometric probe grid over [max(2*step, 1e-3), 1], 12 points a decade;
+    a floor at or above 1 means the grid is too coarse to probe."""
+    lo = max(2.0 * rho.step, 1e-3)
+    if lo >= 1.0:
+        raise ResolutionError(f"resolution floor {lo} leaves no probe below 1.0")
+    return geometric_grid(lo, 1.0, 12)
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
@@ -335,8 +325,6 @@ def small_set_check(
     base = density_budget(rho)
     rows: list[ProbeRow] = []
     for a, b in intervals:
-        if b < a:
-            raise InputError(f"interval endpoints out of order: ({a}, {b}]")
         p_hat = cdf.interval_prob(a, b)
         length = b - a
         sigma = dual_modulus(rho, length)

@@ -336,7 +336,10 @@ def from_json_dict(data: Mapping) -> Polynomial:
             raise TypeError("n and every exponent must be integers")
         if not all(_is_int(c) or isinstance(c, float) for c in coefs):
             raise TypeError("every coefficient must be a number")
-        terms = {tuple(exp): float(c) for exp, c in zip(exps, coefs)}
+        terms: dict[MultiIndex, float] = {}
+        for exp, c in zip(exps, coefs):  # like terms add up
+            key = tuple(exp)
+            terms[key] = terms.get(key, 0.0) + float(c)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed polynomial object: {exc}") from exc
     return Polynomial(n, terms)

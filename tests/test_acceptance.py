@@ -195,7 +195,7 @@ def test_criterion_7_distance_comparison(x1x2_samples):
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):
     cfg = {
-        "family": {"n": 2, "m": 1, "d": 2, "count": 2},
+        "n": 2, "m": 1, "d": 2, "count": 2,
         "samples": 150_000, "grid": 128, "seed": 7,
     }
     outputs = []

@@ -1,7 +1,7 @@
+import argparse
 import contextlib
 import io
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
-from polygauss.cli import main
+from polygauss.cli import DEFAULTS, _build_parser, main
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import dumps, monomial, scale
 
@@ -26,7 +26,7 @@ def run(args):
 
 def small_family_cfg(tmp_path, out, **extra):
     cfg = {
-        "family": {"n": 2, "m": 1, "d": 2, "count": 2},
+        "n": 2, "m": 1, "d": 2, "count": 2,
         "samples": 150_000,
         "grid": 128,
         "seed": 7,
@@ -89,23 +89,12 @@ def test_modulus_command_files_and_rerun(tmp_path):
     out2 = tmp_path / "m2"
     assert run(args + ["--out", str(out2)]) == 0
     assert read_outputs(out1) == read_outputs(out2)
-
-
-def test_modulus_rejects_below_resolution(tmp_path):
-    cfg = {
-        "polynomial": json.loads(X1X2),
-        "samples": 200_000,
-        "grid": 64,
-        "seed": 1,
-        "eps": {"lo": 1e-4, "hi": 1.0, "per_decade": 12},
-        "out": str(tmp_path / "m"),
+    # the raw little-endian float64 samples and their JSON sidecar
+    values = np.fromfile(out1 / "samples.bin", dtype="<f8")
+    assert np.array_equal(values, pg.sample(monomial(2, (1, 1)), 200_000, 11).values)
+    assert json.loads((out1 / "samples.bin.json").read_text()) == {
+        "seed": 11, "N": 200_000, "polynomial": json.loads(X1X2),
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert run(["modulus", "--config", str(path)]) == 4
-    # verify-all probes from the config's eps too, not from the defaults
-    family = small_family_cfg(tmp_path, "va", eps=cfg["eps"])
-    assert run(["verify-all", "--config", str(family)]) == 4
 
 
 def test_modulus_probes_past_the_grid_span(tmp_path, capsys):
@@ -221,7 +210,7 @@ def test_verify_all_corrupted_envelope_hook(tmp_path):
 def test_verify_all_empty_family(tmp_path):
     cfg = small_family_cfg(tmp_path, "ve")
     data = json.loads(cfg.read_text())
-    data["family"]["count"] = 0
+    data["count"] = 0
     cfg.write_text(json.dumps(data))
     assert run(["verify-all", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "ve" / "summary.json").read_text())
@@ -245,7 +234,7 @@ def test_input_errors_exit_3(tmp_path):
                 "--out", str(tmp_path / "x")]) == 3
     assert run(["variance", "--config", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "x")]) == 3
-    assert run(["verify-all", "--out", str(tmp_path / "x")]) == 3  # no family
+    assert run(["verify-all", "--out", str(tmp_path / "x")]) == 3  # no n, m, d
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"unknown_field": 1}))
     assert run(["variance", "--config", str(bad), "--poly", X1X2,
@@ -368,6 +357,8 @@ def test_verify_all_grid_too_coarse_exits_4(tmp_path, capsys):
     {"cf_samples": -5},
     {"eps": {"per_decade": 0}},
     {"t": {"per_decade": -4}},
+    {"n": "a"},
+    {"count": -1},
 ])
 def test_bad_config_field_exits_3(tmp_path, capsys, override):
     cfg = small_family_cfg(tmp_path, "bad", **override)
@@ -377,35 +368,12 @@ def test_bad_config_field_exits_3(tmp_path, capsys, override):
     assert next(iter(override)) in err
 
 
-@pytest.mark.parametrize("command,override", [
-    ("cf", {"t": {"hi": math.inf}}),
-    ("cf", {"t": {"lo": 1e-320}}),
-    ("modulus", {"eps": {"lo": 1e-320}}),
-    ("modulus", {"eps": {"per_decade": 10**12}}),
-    ("cf", {"t": {"per_decade": 10**12}}),
-])
-def test_grid_spanning_infinite_decades_exits_3(tmp_path, capsys, command, override):
-    cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, "grid": 64, **override}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_partial_nested_config_keeps_defaults(tmp_path):
-    cfg = {"polynomial": json.loads(X1SQ), "samples": 200_000, "grid": 128,
-           "eps": {"hi": 0.5}, "t": {"hi": 100.0}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert run(["modulus", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
-    eps = [float(line.split(",")[0])
-           for line in (tmp_path / "m" / "omega.csv").read_text().splitlines()[1:]]
-    assert max(eps) <= 0.5
-    assert run(["cf", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
-    t = [float(line.split(",")[0])
-         for line in (tmp_path / "c" / "cf_curve.csv").read_text().splitlines()[1:]]
-    assert (min(t), max(t)) == (0.1, 100.0)
+def test_every_flag_is_a_config_field():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions} - {"config", "help"}
+        assert dests <= set(DEFAULTS), (command, dests - set(DEFAULTS))
 
 
 def test_overflow_is_an_input_error(tmp_path, capsys):
@@ -450,55 +418,23 @@ def _term(n):
 POLYS = st.integers(1, 2).flatmap(lambda n: st.fixed_dictionaries(
     {"n": st.just(n), "terms": st.lists(_term(n), max_size=3)}
 ))
-# Range ends the grids must reject or survive: infinities, NaN, zero and
-# subnormals (whose ratio to any ordinary end overflows).
-ODD_ENDS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e-310])
-# Partial nested dicts, sometimes with an unknown key.
-EPS = st.fixed_dictionaries({}, optional={
-    "lo": st.one_of(st.none(), st.floats(-0.1, 0.5), ODD_ENDS),
-    "hi": st.one_of(st.floats(-0.1, 2.0), ODD_ENDS),
-    "per_decade": st.integers(-1, 6),
-    "width": st.just(1),
-})
-T = st.fixed_dictionaries({}, optional={
-    "lo": st.one_of(st.floats(-1.0, 10.0), ODD_ENDS),
-    "hi": st.one_of(st.floats(-1.0, 300.0), ODD_ENDS),
-    "per_decade": st.integers(-1, 8),
-    "width": st.just(1),
-})
-# Right-typed fields, values in and out of range (EPS and T may add an unknown key).
+# Right-typed fields, values in and out of range.
 BASE = st.fixed_dictionaries(
     {"polynomial": st.one_of(st.just(json.loads(X1X2)), POLYS),
      "samples": st.sampled_from([12_000, 20_000]),
      "grid": st.sampled_from([16, 64])},
-    optional={
-        "seed": st.integers(-2, 50),
-        "eps": EPS,
-        "t": T,
-    },
+    optional={"seed": st.integers(-2, 50)},
 )
-# Count fields, which must be at least 1; "eps.per_decade" is eps's key.
-COUNT_FIELDS = ("samples", "grid", "eps.per_decade", "t.per_decade")
+# Count fields, which must be at least 1.
+COUNT_FIELDS = ("samples", "grid")
 
 
 def _count_below_one(cfg):
-    for name in COUNT_FIELDS:
-        obj, _, key = name.rpartition(".")
-        holder = cfg.get(obj) if obj else cfg
-        if isinstance(holder, dict) and type(holder.get(key)) is int and holder[key] < 1:
-            return True
-    return False
+    return any(type(cfg.get(name)) is int and cfg[name] < 1 for name in COUNT_FIELDS)
 
 
 def _config(cfg, low, bad):
-    cfg = dict(cfg)
-    for name, val in low:
-        obj, _, key = name.rpartition(".")
-        if obj:
-            cfg[obj] = {**cfg.get(obj, {}), key: val}
-        else:
-            cfg[key] = val
-    return {**cfg, **dict(bad)}
+    return {**cfg, **dict(low), **dict(bad)}
 
 
 # A base config with at most one count field set to 0 or below, and up to two
@@ -508,7 +444,7 @@ CONFIGS = st.builds(
     BASE,
     st.lists(st.tuples(st.sampled_from(COUNT_FIELDS), st.integers(-3, 0)), max_size=1),
     st.lists(st.tuples(st.sampled_from(
-        ["polynomial", "samples", "seed", "grid", "svg", "eps", "t", "family", "bogus"]
+        ["polynomial", "samples", "seed", "grid", "svg", "n", "count", "bogus"]
     ), WRONG), max_size=2),
 )
 

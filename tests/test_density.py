@@ -284,27 +284,6 @@ def test_affine_equivariance(x1x2_samples):
     assert h2.clipped_mass == base.clipped_mass
 
 
-def test_persistence_roundtrip(tmp_path):
-    f = monomial(2, (1, 1))
-    s = pg.sample(f, 20_000, seed=77)
-    path = tmp_path / "samples.bin"
-    pg.save_samples(s, path, polynomial=f)
-    loaded, poly = pg.load_samples(path)
-    assert np.array_equal(loaded.values, s.values)
-    assert loaded.seed == 77
-    assert poly == f
-
-
-def test_persistence_rejects_mismatch(tmp_path):
-    s = pg.sample(monomial(1, (1,)), 1_000, seed=1)
-    path = tmp_path / "s.bin"
-    pg.save_samples(s, path)
-    side = path.with_suffix(".bin.json")
-    side.write_text(side.read_text().replace("1000", "999"))
-    with pytest.raises(InputError):
-        pg.load_samples(path)
-
-
 def test_gridded_density_validation():
     with pytest.raises(InputError):
         pg.GriddedDensity(0.0, 0.1, np.array([1.0, -1.0]))

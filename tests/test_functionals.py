@@ -6,7 +6,12 @@ from scipy.special import ndtr
 
 import polygauss as pg
 from polygauss.errors import InputError, ResolutionError
-from polygauss.functionals import ModulusCurve, boundary_correction, density_budget
+from polygauss.functionals import (
+    ModulusCurve,
+    boundary_correction,
+    density_budget,
+    geometric_grid,
+)
 
 
 def gauss_shift_l1(h):
@@ -42,28 +47,24 @@ def test_shift_modulus_resolution_guard(normal_oracle):
 
 def test_probe_grid_range_errors():
     wide = pg.oracle_density("normal", -5.0, 5.0, 16)  # step 0.625 > 1/2
-    with pytest.raises(ResolutionError, match="resolution floor"):
+    with pytest.raises(ResolutionError, match="leaves no probe below 1.0"):
         pg.default_probe_grid(wide)
-    with pytest.raises(InputError):
-        pg.default_probe_grid(wide, lo=1.0, hi=1.0)
-    with pytest.raises(InputError):
-        pg.default_probe_grid(wide, lo=-0.1, hi=1.0)
-    for lo, hi in [(1e-320, 1.0), (0.1, math.inf), (0.1, math.nan)]:
+    # empty ranges, ranges spanning infinitely many decades, and too many points
+    for lo, hi, per_decade in [(1.0, 1.0, 16), (-0.1, 1.0, 16), (1e-320, 1.0, 16),
+                               (0.1, math.inf, 16), (0.1, math.nan, 16),
+                               (0.1, 1e3, 10**12)]:
         with pytest.raises(InputError):
-            pg.default_probe_grid(wide, lo=lo, hi=hi)
-        with pytest.raises(InputError):
-            pg.default_t_grid(lo, hi)
+            pg.default_t_grid(lo, hi, per_decade)
 
 
 def test_geometric_grid_shared_by_probe_and_t_grids(normal_oracle):
-    from polygauss.functionals import geometric_grid
-
     g = geometric_grid(0.01, 1.0, 12)
     assert g.size == 25 and (g[0], g[-1]) == (0.01, 1.0)
     assert geometric_grid(1.0, 1.01, 1).size == 2
     assert np.array_equal(pg.default_t_grid(0.1, 1e3, 16), geometric_grid(0.1, 1e3, 16))
     assert np.array_equal(
-        pg.default_probe_grid(normal_oracle, lo=0.01), geometric_grid(0.01, 1.0, 12)
+        pg.default_probe_grid(normal_oracle),
+        geometric_grid(2.0 * normal_oracle.step, 1.0, 12),
     )
 
 
@@ -190,7 +191,7 @@ def test_equivalence_monte_carlo(x1x2_samples):
 
 def test_equivalence_near_dirac_flags_budget():
     rho = pg.oracle_density("normal", -0.01, 0.01, 256, sigma=0.001)
-    probes = pg.default_probe_grid(rho, hi=0.005)
+    probes = geometric_grid(1e-3, 0.005, 12)
     report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
     assert report.verdict
     assert report.extras["budget_base"] > 0.01  # large budget is surfaced
@@ -206,6 +207,8 @@ def test_small_set_gaussian(x1_samples):
     row = report.rows[0]
     assert row.lhs == pytest.approx(2 * ndtr(0.05) - 1, abs=0.002)
     assert report.verdict
+    with pytest.raises(InputError, match="out of order"):
+        pg.small_set_check(cdf, x1_samples.count, h, [(0.05, -0.05)])
 
 
 def test_small_set_trivial_cases(x1_samples):

@@ -306,3 +306,11 @@ def test_json_validation():
             loads(bad)
     assert loads('{"n": 1, "terms": [{"exp": [1], "coef": 2}]}') == monomial(1, (1,), 2.0)
     assert from_json_dict(to_json_dict(F)) == F
+
+
+def test_json_like_terms_add_up():
+    def terms(*coefs):
+        return from_json_dict({"n": 1, "terms": [{"exp": [1], "coef": c} for c in coefs]}).terms
+
+    assert terms(1, 2) == {(1,): 3.0}
+    assert terms(1, -1) == {}
