@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -366,6 +367,26 @@ def test_bad_config_field_exits_3(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(override)) in err
+
+
+@pytest.mark.parametrize("command,override", [
+    ("cf", {"t": {"hi": math.inf}}),
+    ("cf", {"t": {"lo": 1e-320}}),
+    ("modulus", {"eps": {"lo": 1e-320}}),
+    ("modulus", {"eps": {"per_decade": 10**12}}),
+    ("cf", {"t": {"per_decade": 10**12}}),
+])
+def test_grid_spanning_infinite_decades_exits_3(tmp_path, capsys, command, override):
+    # The probe and t ranges are the program's own, so a config that sets one,
+    # even to infinitely many decades or too many points, exits 3 naming the field.
+    cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, "grid": 64, **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(override)) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_flag_is_a_config_field():
