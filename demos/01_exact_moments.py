@@ -30,10 +30,3 @@ for idx in sorted(exp.coeffs):
 # Monte Carlo cross-check
 s = pg.sample(f, 200_000, seed=1)
 print("\nmonte carlo variance (N=2e5):", np.var(s.values).round(4))
-
-# univariate derivative-energy lower bound: Var g >= (1/m) E[g'(X)^2]
-g = pg.Polynomial(1, {(3,): 1.0, (1,): -3.0})  # x^3 - 3x
-lb = pg.variance_lower_bound_1d(g, 3)
-print(f"\ng = x^3 - 3x: variance {pg.variance(g)}, lower bound {lb}")
-print("derivative-energy floor constants c2(m):",
-      {m: round(pg.min_derivative_energy(m), 4) for m in (1, 2, 3)})

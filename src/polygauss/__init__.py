@@ -25,7 +25,6 @@ from .poly import (
     max_var_power,
     monomial,
     multiply,
-    partial_derivative,
     random_in_class,
     scale,
     variable,
@@ -35,9 +34,7 @@ from .moments import (
     expectation,
     gaussian_moment,
     hermite_expand,
-    min_derivative_energy,
     variance,
-    variance_lower_bound_1d,
     variance_via_hermite,
 )
 from .density import (
@@ -49,6 +46,7 @@ from .density import (
     oracle_density,
     quantile_grid,
     sample,
+    sample_many,
 )
 from .functionals import (
     BoundReport,

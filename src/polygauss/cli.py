@@ -32,6 +32,7 @@ from .density import (
     histogram_density,
     quantile_grid,
     sample,
+    sample_many,
 )
 from .errors import InputError, ResolutionError
 from .functionals import (
@@ -252,6 +253,17 @@ def _sample(run: _Run, f: Polynomial, cfg: dict, seed: int) -> SampleSet:
     return s
 
 
+def _sample_pair(
+    run: _Run, cfg: dict, f: Polynomial, seed_f: int, g: Polynomial, seed_g: int
+) -> tuple[SampleSet, SampleSet]:
+    """The samples of f and of g, drawn at once; the ``sample`` stage is the
+    wall time of the joint draw."""
+    with run.stage("sample"):
+        sf, sg = sample_many([(f, seed_f), (g, seed_g)], cfg["samples"])
+    run.count("samples_drawn", sf.count + sg.count)
+    return sf, sg
+
+
 def _sample_and_histogram(
     run: _Run, f: Polynomial, cfg: dict, seed: int
 ) -> tuple[SampleSet, GriddedDensity]:
@@ -388,13 +400,11 @@ def cmd_cf(cfg: dict) -> int:
 
 
 def _distance_reports(
-    run: _Run, params: EnvelopeParams, sf: SampleSet, g: Polynomial, cfg: dict,
-    seed_g: int,
+    run: _Run, params: EnvelopeParams, sf: SampleSet, sg: SampleSet, cfg: dict
 ) -> tuple[dict, BoundReport]:
-    """Distances between f (envelope ``params``, samples ``sf``) and g (drawn
-    here with ``seed_g``), both histogrammed on the quantile grid of their
-    pooled samples: the distance report's payload and the two-term report."""
-    sg = _sample(run, g, cfg, seed_g)
+    """Distances between f (envelope ``params``, samples ``sf``) and g
+    (samples ``sg``), both histogrammed on the quantile grid of their pooled
+    samples: the distance report's payload and the two-term report."""
     with run.stage("histogram"):
         grid = quantile_grid(np.concatenate([sf.values, sg.values]), cfg["grid"])
         rho_f = histogram_density(sf, cfg["grid"], grid)
@@ -424,8 +434,9 @@ def cmd_distance(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     g = _resolve_polynomial(cfg["polynomial_b"], what="polynomial_b")
     run = _Run(cfg)
-    sf = _sample(run, f, cfg, cfg["seed"])
-    payload, _ = _distance_reports(run, _envelope_params(f), sf, g, cfg, cfg["seed"] + 1)
+    params = _envelope_params(f)  # first, so a constant f keeps its message
+    sf, sg = _sample_pair(run, cfg, f, cfg["seed"], g, cfg["seed"] + 1)
+    payload, _ = _distance_reports(run, params, sf, sg, cfg)
     run.write_json("distance_report.json", payload)
     run.finish()
     print(f"tv = {payload['tv']:.6g}   kr = {payload['kr']:.6g}")
@@ -458,7 +469,10 @@ def cmd_verify_all(cfg: dict) -> int:
     for k in range(count):
         with run.stage("draw"):
             f = random_in_class(params, int(seeds[3 * k]))
-        s, rho = _sample_and_histogram(run, f, cfg, int(seeds[3 * k + 1]))
+        g = add(f, scale(variable(params.n, 1), PERTURBATION))
+        s, sg = _sample_pair(run, cfg, f, int(seeds[3 * k + 1]), g, int(seeds[3 * k + 2]))
+        with run.stage("histogram"):
+            rho = histogram_density(s, cfg["grid"])
         env_params = _envelope_params(f)
         with run.stage("checks"):
             _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
@@ -477,8 +491,7 @@ def cmd_verify_all(cfg: dict) -> int:
             curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
             record(cf_decay_check(curve, env_params))
 
-        g = add(f, scale(variable(params.n, 1), PERTURBATION))
-        record(_distance_reports(run, env_params, s, g, cfg, int(seeds[3 * k + 2]))[1])
+        record(_distance_reports(run, env_params, s, sg, cfg)[1])
 
     verdict = all(v["passed"] == v["total"] for v in families.values())
     for name, slot in families.items():

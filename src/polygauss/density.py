@@ -10,13 +10,17 @@ integrable singularities (e.g. the chi-square(1) blow-up at zero).
 Sampling is deterministic and reproducible: the stream is a Philox counter-
 based generator keyed through ``numpy.random.SeedSequence(seed).spawn``, one
 substream per fixed-size chunk of the output, with normals drawn by numpy's
-ziggurat method.  Results are bit-identical for any thread count because
-chunk boundaries are fixed and each chunk writes its own slice of the output.
-Inside a chunk, rows are drawn and evaluated in blocks of about
-``BLOCK_BYTES`` of normals, so memory does not grow with n times the chunk
-size.  Consecutive draws from one generator continue its stream exactly, and
-each value is computed from its own row alone, so the block size changes no
-value: the stream is the one a single (chunk, n) draw would give.
+ziggurat method.  ``sample_many`` draws several laws, each a (polynomial,
+seed) job, and puts the chunks of all of them in one thread pool, so two
+one-chunk laws are drawn at once; ``sample`` is its one-job case.  Results
+are bit-identical for any thread count and any set of jobs drawn together,
+because each job keeps its own seed, chunk boundaries are fixed and each
+chunk writes its own slice of its job's output.  Inside a chunk, rows are
+drawn and evaluated in blocks of about ``BLOCK_BYTES`` of normals, so memory
+does not grow with n times the chunk size.  Consecutive draws from one
+generator continue its stream exactly, and each value is computed from its
+own row alone, so the block size changes no value: the stream is the one a
+single (chunk, n) draw would give.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .poly import Polynomial, evaluate_batch
 
 SAMPLE_CHUNK = 1 << 20
 BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
-THREADS = os.cpu_count() or 1  # most chunks drawn at once
+# most chunks drawn at once: the CPUs this process may run on
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 MASS_TOL = 1e-3
 TAIL_QUANTILE = 1e-4
 
@@ -61,18 +67,33 @@ def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
     The output depends only on (f, seed, n_samples); how many chunks are
     drawn at once never changes the values.
     """
+    return sample_many([(f, seed)], n_samples)[0]
+
+
+def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[SampleSet]:
+    """``sample(f, n_samples, seed)`` for each (f, seed) of ``jobs``, with
+    the chunks of every job drawn in one thread pool.
+
+    Each job's values are those ``sample`` gives it alone.  When jobs fail,
+    the error of the first failing job in ``jobs`` is raised.
+    """
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
-    values = np.empty(n_samples)  # first, so a size too large fails before spawning
     n_chunks = (n_samples + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    # the floor keeps per-block Python overhead small next to the arithmetic
-    rows = max(4096, BLOCK_BYTES // (8 * f.n))
-    if rows * f.n > np.iinfo(np.intp).max // 8:
-        raise InputError(f"a block of {rows} rows of {f.n} normals is too large to allocate")
+    outputs, tasks = [], []
+    for f, seed in jobs:
+        values = np.empty(n_samples)  # first, so a size too large fails before spawning
+        children = np.random.SeedSequence(seed).spawn(n_chunks)
+        # the floor keeps per-block Python overhead small next to the arithmetic
+        rows = max(4096, BLOCK_BYTES // (8 * f.n))
+        if rows * f.n > np.iinfo(np.intp).max // 8:
+            raise InputError(f"a block of {rows} rows of {f.n} normals is too large to allocate")
+        outputs.append(values)
+        tasks += [(f, values, rows, child, i) for i, child in enumerate(children)]
 
-    def draw(i: int) -> None:
-        gen = np.random.Generator(np.random.Philox(children[i]))
+    def draw(task) -> None:
+        f, values, rows, child, i = task
+        gen = np.random.Generator(np.random.Philox(child))
         end = min((i + 1) * SAMPLE_CHUNK, n_samples)
         for lo in range(i * SAMPLE_CHUNK, end, rows):
             hi = min(lo + rows, end)
@@ -83,14 +104,14 @@ def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
                 raise InputError("polynomial values overflow a float at some samples")
             values[lo:hi] = block
 
-    threads = min(n_chunks, THREADS)
-    if threads == 1:
-        for i in range(n_chunks):
-            draw(i)
+    threads = min(len(tasks), THREADS)
+    if threads <= 1:
+        for task in tasks:
+            draw(task)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, range(n_chunks)))
-    return SampleSet(values, seed)
+            list(pool.map(draw, tasks))  # results in task order: job 0's error first
+    return [SampleSet(values, seed) for values, (_, seed) in zip(outputs, jobs)]
 
 
 @dataclass(frozen=True)

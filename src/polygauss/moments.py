@@ -7,13 +7,6 @@ Two independent routes are provided and cross-checked in the tests:
   expanding f^2 exactly.
 * Hermite expansion: rewrite f in the orthonormal probabilists' Hermite
   basis h_k = H_k / sqrt(k!); then E f = c_0 and Var f = sum_{J != 0} c_J^2.
-
-Also included: the one-dimensional derivative-energy lower bound
-Var g(X) >= (1/m) E[g'(X)^2] for deg g <= m, and the numeric constant
-
-    c2(m) = min { (1/m) E[g'(X)^2] : max_{1<=j<=m} |a_j| = 1 }
-
-so that (1/m) E[g'(X)^2] >= c2(m) * max_j |a_j|^2.
 """
 
 from __future__ import annotations
@@ -24,11 +17,8 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.optimize import minimize
-
 from .errors import InputError
-from .poly import MultiIndex, Polynomial, degree, multiply, partial_derivative
+from .poly import MultiIndex, Polynomial, multiply
 
 
 def gaussian_moment(k: int) -> float:
@@ -144,70 +134,3 @@ def hermite_expand(f: Polynomial) -> HermiteExpansion:
 def variance_via_hermite(f: Polynomial) -> float:
     return hermite_expand(f).variance
 
-
-def variance_lower_bound_1d(g: Polynomial, m: int) -> float:
-    """(1/m) E[g'(X)^2] for a univariate g of degree <= m.
-
-    This quantity sits below Var g(X): writing g in the Hermite basis,
-    Var g = sum_{k>=1} c_k^2 while E[g'^2] = sum k c_k^2 <= m * Var g.
-    """
-    if g.n != 1:
-        raise InputError(f"expected a univariate polynomial, got n={g.n}")
-    if not g.is_zero and degree(g) > m:
-        raise InputError(f"degree {degree(g)} exceeds cap m={m}")
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    gp = partial_derivative(g, 1)
-    if gp.is_zero:
-        return 0.0
-    return expectation(multiply(gp, gp)) / m
-
-
-def _derivative_energy_matrix(m: int) -> np.ndarray:
-    """Gram matrix B with a^T B a = E[g'(X)^2] for g(s) = sum_{j=0}^m a_j s^j."""
-    b = np.zeros((m, m))
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            b[j - 1, k - 1] = j * k * gaussian_moment(j + k - 2)
-    return b
-
-
-@lru_cache(maxsize=None)
-def min_derivative_energy(m: int) -> float:
-    """c2(m): minimum of (1/m) E[g'(X)^2] over {max_{1<=j<=m} |a_j| = 1}.
-
-    The minimum of the positive-definite quadratic form over the unit cube
-    surface is attained on one of the faces a_j = +-1; by symmetry only
-    a_j = +1 faces need solving.  Each face problem is a small convex box-
-    constrained QP, solved with L-BFGS-B from several starts.
-    """
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    b = _derivative_energy_matrix(m)
-    if m == 1:
-        return float(b[0, 0])
-
-    best = math.inf
-    for face in range(m):
-        free = [j for j in range(m) if j != face]
-
-        def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-            a = np.zeros(m)
-            a[face] = 1.0
-            a[free] = z
-            grad_full = 2.0 * b.dot(a)
-            return float(a.dot(b).dot(a)), grad_full[free]
-
-        starts = [np.zeros(m - 1)]
-        rng = np.random.default_rng(m)
-        starts += [rng.uniform(-1.0, 1.0, size=m - 1) for _ in range(4)]
-        for z0 in starts:
-            res = minimize(
-                objective,
-                z0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(-1.0, 1.0)] * (m - 1),
-            )
-            best = min(best, float(res.fun))
-    return best / m

@@ -213,21 +213,6 @@ def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.n, terms)
 
 
-def partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    """Formal derivative with respect to x_i (1-based)."""
-    if not 1 <= i <= f.n:
-        raise InputError(f"variable index {i} outside 1..{f.n}")
-    k = i - 1
-    terms: dict[MultiIndex, float] = {}
-    for exps, coef in f.terms.items():
-        e = exps[k]
-        if e == 0:
-            continue
-        key = exps[:k] + (e - 1,) + exps[k + 1 :]
-        terms[key] = terms.get(key, 0.0) + coef * e
-    return Polynomial(f.n, terms)
-
-
 def _class_counts(params: ClassParams) -> list[list[int]]:
     """Count table for the exponent tuples in {0..m}^n of total at most d.
 

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -181,18 +184,18 @@ def test_verify_all_small_family(tmp_path):
 def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
     import polygauss.cli as cli
 
-    drawn, real_sample = [], cli.sample
+    drawn, real_sample_many = [], cli.sample_many
 
-    def counting_sample(f, n_samples, seed):
-        drawn.append(f)
-        return real_sample(f, n_samples, seed)
+    def counting_sample_many(jobs, n_samples):
+        drawn.append([f for f, _ in jobs])
+        return real_sample_many(jobs, n_samples)
 
-    monkeypatch.setattr(cli, "sample", counting_sample)
+    monkeypatch.setattr(cli, "sample_many", counting_sample_many)
     cfg = small_family_cfg(tmp_path, "va")
     assert run(["verify-all", "--config", str(cfg)]) == 0
-    # per member: f once (shared by every check) and its perturbation g once
-    assert len(drawn) == 2 * 2
-    assert drawn[0] != drawn[1] and drawn[2] != drawn[3]
+    # per member one joint draw: f (shared by every check) and its perturbation g
+    assert len(drawn) == 2
+    assert all(len(laws) == 2 and laws[0] != laws[1] for laws in drawn)
 
 
 def test_verify_all_deterministic(tmp_path):
@@ -279,10 +282,26 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
 @pytest.mark.parametrize("argv", [
     ["cf", "--poly", CONSTANT],
     ["distance", "--poly", CONSTANT, "--poly-b", dumps(monomial(1, (1,)))],
+    # g overflows, but f is checked before the two laws are drawn
+    ["distance", "--poly", CONSTANT, "--poly-b",
+     '{"n": 1, "terms": [{"exp": [200], "coef": 1e300}]}'],
 ])
 def test_scaling_laws_need_a_non_constant_polynomial(tmp_path, capsys, argv):
     assert run([*argv, "--samples", "20000", "--out", str(tmp_path / "x")]) == 3
     assert "non-constant polynomial" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polygauss.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_error_classes_are_value_errors():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,48 @@ def test_sample_stream_is_pinned(monkeypatch):
         monkeypatch.setattr(density, "THREADS", threads)
         s = pg.sample(f, (1 << 20) + 12_345, seed)
         assert _values_digest(s) == TWO_CHUNK_DIGEST, threads
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_sample_many_keeps_the_pinned_streams(monkeypatch, threads):
+    monkeypatch.setattr(density, "THREADS", threads)
+    jobs = [job for nmd, s in STREAM_DIGESTS for job in _member_draws(ClassParams(*nmd), s)]
+    got = [_values_digest(s) for s in pg.sample_many(jobs, 200_000)]
+    assert got == [digest for pair in STREAM_DIGESTS.values() for digest in pair]
+    # two chunks per law, so four tasks share the pool
+    (f, seed_f), (g, seed_g) = _member_draws(ClassParams(14, 2, 3), 1)
+    n = (1 << 20) + 12_345
+    sf, sg = pg.sample_many([(f, seed_f), (g, seed_g)], n)
+    assert _values_digest(sf) == TWO_CHUNK_DIGEST
+    monkeypatch.setattr(density, "THREADS", 1)
+    assert np.array_equal(sg.values, pg.sample(g, n, seed_g).values)
+    assert (sf.seed, sg.seed) == (seed_f, seed_g)
+
+
+def test_sample_many_of_one_job_is_sample():
+    f = Polynomial(2, {(1, 1): 1.0, (0, 2): -0.5})
+    (got,) = pg.sample_many([(f, 4)], 30_000)
+    want = pg.sample(f, 30_000, seed=4)
+    assert np.array_equal(got.values, want.values) and got.seed == want.seed
+
+
+OVERFLOWING = Polynomial(1, {(200,): 1e300})  # overflows wherever |x| > 1.1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
+    monkeypatch.setattr(density, "THREADS", threads)
+    with pytest.raises(InputError, match="overflow"):
+        pg.sample_many([(monomial(1, (1,)), 1), (OVERFLOWING, 2)], 1000)
+
+    def fail_by_dimension(f, z):
+        if f.n == 1:
+            time.sleep(0.05)  # so that job 1 fails first in time
+        raise InputError(f"job with n={f.n} failed")
+
+    monkeypatch.setattr(density, "evaluate_batch", fail_by_dimension)
+    with pytest.raises(InputError, match="n=1"):
+        pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], 1000)
 
 
 def test_sample_values_do_not_depend_on_block_size(monkeypatch):

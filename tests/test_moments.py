@@ -6,13 +6,10 @@ import pytest
 import polygauss as pg
 from polygauss.errors import InputError
 from polygauss.moments import (
-    _derivative_energy_matrix,
     expectation,
     gaussian_moment,
     hermite_expand,
-    min_derivative_energy,
     variance,
-    variance_lower_bound_1d,
     variance_via_hermite,
 )
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
@@ -88,50 +85,6 @@ def test_hermite_reconstruction(rng=np.random.default_rng(23)):
         got = evaluate_expansion(hermite_expand(f), pts)
         want = pg.evaluate_batch(f, pts)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
-
-
-def test_lower_bound_examples():
-    assert variance_lower_bound_1d(monomial(1, (1,)), 1) == pytest.approx(1.0)
-    assert variance_lower_bound_1d(monomial(1, (2,)), 2) == pytest.approx(2.0)
-    g = Polynomial(1, {(3,): 1.0, (1,): -3.0})
-    lb = variance_lower_bound_1d(g, 3)
-    assert lb == pytest.approx(6.0)
-    assert variance(g) >= lb - 1e-12
-    with pytest.raises(InputError, match="exceeds cap m=2"):
-        variance_lower_bound_1d(g, 2)
-
-
-def test_lower_bound_chain(rng=np.random.default_rng(31)):
-    for _ in range(200):
-        m = int(rng.integers(1, 5))
-        coeffs = {(j,): float(rng.uniform(-2, 2)) for j in range(m + 1)}
-        coeffs[(m,)] = coeffs.get((m,), 0.0) or 1.0
-        g = Polynomial(1, coeffs)
-        if g.is_zero or pg.degree(g) == 0:
-            continue
-        m_eff = max(pg.degree(g), 1)
-        lb = variance_lower_bound_1d(g, m_eff)
-        assert variance(g) >= lb - 1e-10 * (1 + lb)
-        top = max(abs(c) for (j,), c in g.terms.items() if j >= 1)
-        assert lb >= min_derivative_energy(m_eff) * top**2 - 1e-10 * (1 + lb)
-
-
-def test_min_derivative_energy_values():
-    assert min_derivative_energy(1) == pytest.approx(1.0)
-    assert min_derivative_energy(2) == pytest.approx(0.5)
-    # dense-grid cross-check for m = 3
-    b = _derivative_energy_matrix(3)
-    grid = np.linspace(-1.0, 1.0, 21)
-    best = np.inf
-    for face in range(3):
-        for u in grid:
-            for v in grid:
-                a = np.zeros(3)
-                a[face] = 1.0
-                a[[i for i in range(3) if i != face]] = (u, v)
-                best = min(best, a @ b @ a)
-    assert min_derivative_energy(3) <= best / 3 + 1e-9
-    assert min_derivative_energy(3) >= best / 3 - 0.05
 
 
 def test_full_degree_family_variance_floor(rng=np.random.default_rng(41)):

@@ -95,6 +95,17 @@ def invocations() -> list[tuple[str, list[str]]]:
         "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1000000",
         "--grid", "400", "--seed", "9"]))
+    # Three members in one run, so each member's joint draw of f and g
+    # follows the checks of the one before.
+    runs.append(("verify-all n=14 m=2 d=3 count=3 seed=1", [
+        "verify-all", "--n", "14", "--m", "2", "--d", "3", "--count", "3",
+        "--seed", "1"]))
+    # Two chunks of 2^20 samples per law, so the joint draw of f and g puts
+    # four chunks in one pool.
+    runs.append(("distance x1*x2 vs x1*x2+0.2*x1 two chunks", [
+        "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1500000",
+        "--grid", "400", "--seed", "9"]))
     runs.append(("variance x1*x2", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "1000000", "--seed", "1"]))
