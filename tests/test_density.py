@@ -122,14 +122,12 @@ def test_sample_many_of_one_job_is_sample():
     assert np.array_equal(got.values, want.values) and got.seed == want.seed
 
 
-OVERFLOWING = Polynomial(1, {(200,): 1e300})  # overflows wherever |x| > 1.1
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
     monkeypatch.setattr(density, "THREADS", threads)
+    overflowing = Polynomial(1, {(200,): 1e300})  # wherever |x| > 1.1
     with pytest.raises(InputError, match="overflow"):
-        pg.sample_many([(monomial(1, (1,)), 1), (OVERFLOWING, 2)], 1000)
+        pg.sample_many([(monomial(1, (1,)), 1), (overflowing, 2)], 1000)
 
     def fail_by_dimension(f, z):
         if f.n == 1:
