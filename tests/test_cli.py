@@ -190,7 +190,11 @@ def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
         drawn.append([f for f, _ in jobs])
         return real_sample_many(jobs, n_samples)
 
+    def no_single_draw(*args, **kwargs):
+        raise AssertionError("drew one law apart from the joint draw")
+
     monkeypatch.setattr(cli, "sample_many", counting_sample_many)
+    monkeypatch.setattr(cli, "sample", no_single_draw)
     cfg = small_family_cfg(tmp_path, "va")
     assert run(["verify-all", "--config", str(cfg)]) == 0
     # per member one joint draw: f (shared by every check) and its perturbation g
@@ -252,6 +256,7 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
         raise AssertionError("sampled a member of an undrawable class")
 
     monkeypatch.setattr(cli, "sample", no_sample)
+    monkeypatch.setattr(cli, "sample_many", no_sample)
     assert run(["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1",
                 "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err

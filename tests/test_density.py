@@ -115,13 +115,6 @@ def test_sample_many_keeps_the_pinned_streams(monkeypatch, threads):
     assert (sf.seed, sg.seed) == (seed_f, seed_g)
 
 
-def test_sample_many_of_one_job_is_sample():
-    f = Polynomial(2, {(1, 1): 1.0, (0, 2): -0.5})
-    (got,) = pg.sample_many([(f, 4)], 30_000)
-    want = pg.sample(f, 30_000, seed=4)
-    assert np.array_equal(got.values, want.values) and got.seed == want.seed
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
     monkeypatch.setattr(density, "THREADS", threads)
