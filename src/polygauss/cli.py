@@ -1,8 +1,8 @@
 """Command-line harness: polynomial -> samples -> density -> functionals -> reports.
 
 Subcommands: variance | modulus | cf | distance | verify-all.
-A single flat JSON config document is the source of truth; each flag
-overrides the config field of the same name.  Identical config + seed
+A flat JSON config holds the fields a subcommand reads (``COMMANDS``) and
+nothing else; each flag overrides its field.  Identical config + seed
 reproduces byte-identical data outputs (timings live only in the run
 manifest).
 
@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -79,19 +80,21 @@ MC_SLOPE_RANGE = (-0.6, 1.0)
 CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's samples
 PERTURBATION = 0.1  # verify-all's distance check compares f with f + PERTURBATION * x1
 
-DEFAULTS = {
-    "seed": 1,
-    "samples": 1_000_000,
-    "grid": 400,
-    "out": "out",
-    "svg": False,
-    "corrupt_envelope_exponent": 0.0,
-    "polynomial": None,
-    "polynomial_b": None,
-    "n": None,
-    "m": None,
-    "d": None,
-    "count": 10,
+
+# Every config field: its default, accepted JSON types, smallest value (None:
+# not checked here; ClassParams checks n, m and d) and flag (None: config only).
+_Field = namedtuple("_Field", "default types least flag", defaults=(None, None))
+FIELDS = {
+    "seed": _Field(1, int, 0, "--seed"),
+    "samples": _Field(1_000_000, int, 1, "--samples"),
+    "grid": _Field(400, int, 1, "--grid"),
+    "out": _Field("out", str, flag="--out"),
+    "svg": _Field(False, bool, flag="--svg"),
+    "corrupt_envelope_exponent": _Field(0.0, (int, float)),
+    "polynomial": _Field(None, (str, dict), flag="--poly"),
+    "polynomial_b": _Field(None, (str, dict), flag="--poly-b"),
+    **{key: _Field(None, int, flag=f"--{key}") for key in ("n", "m", "d")},
+    "count": _Field(10, int, 0, "--count"),
 }
 
 
@@ -101,43 +104,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """One subparser per command, holding the flags of the fields it reads."""
     p = _Parser(prog="polygauss", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("variance", "modulus", "cf", "distance", "verify-all"):
+    for name, (_, fields) in COMMANDS.items():
         s = sub.add_parser(name)
         s.add_argument("--config", type=str, default=None)
-        s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--out", type=str, default=None)
-        s.add_argument("--samples", type=int, default=None)
-        s.add_argument("--grid", type=int, default=None)
-        s.add_argument("--n", type=int, default=None)
-        s.add_argument("--m", type=int, default=None)
-        s.add_argument("--d", type=int, default=None)
-        s.add_argument("--count", type=int, default=None, help="family size K")
-        s.add_argument("--poly", dest="polynomial", type=str, default=None,
-                       help="inline polynomial JSON or @path")
-        s.add_argument("--poly-b", dest="polynomial_b", type=str, default=None)
-        s.add_argument("--svg", action="store_true", default=None)
+        for key in fields:
+            f = FIELDS[key]
+            if f.types is bool:
+                s.add_argument(f.flag, dest=key, action="store_true", default=None)
+            elif f.flag is not None:
+                s.add_argument(f.flag, dest=key, type=int if f.types is int else str)
     return p
 
 
-_NUM = (int, float)
-
-# Accepted types of each config field.
-SCHEMA = {
-    "seed": int, "samples": int, "grid": int,
-    "out": str, "svg": bool, "corrupt_envelope_exponent": _NUM,
-    "polynomial": (str, dict), "polynomial_b": (str, dict),
-    "n": int, "m": int, "d": int, "count": int,
-}
-
-# Smallest accepted value of each integer field but n, m and d, which
-# ClassParams checks.
-MINIMUM = {"seed": 0, "samples": 1, "grid": 1, "count": 0}
-
-
 def _fits(val, rule) -> bool:
-    return isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
+    """``val`` has a type in ``rule`` (a bool is no int) and, if a float, is
+    finite: json.loads reads NaN and Infinity, which JSON lacks."""
+    return (isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
+            and (not isinstance(val, float) or math.isfinite(val)))
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -151,7 +137,10 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+    """The fields ``args.command`` reads: defaults, then the config file,
+    then the flags; a field the command does not read exits 3."""
+    fields = COMMANDS[args.command][1]
+    cfg = {key: FIELDS[key].default for key in fields}
     if args.config is not None:
         try:
             user = json.loads(_read_text(Path(args.config), "config"))
@@ -159,17 +148,18 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise InputError(f"invalid config JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise InputError("config must be a JSON object")
-        unknown = set(user) - set(DEFAULTS)
+        unknown = set(user) - set(fields)
         if unknown:
-            raise InputError(f"unknown config fields: {sorted(unknown)}")
+            raise InputError(f"unknown config fields for {args.command}: {sorted(unknown)}")
         for key, val in user.items():
-            if not ((val is None and DEFAULTS[key] is None) or _fits(val, SCHEMA[key])):
+            if not ((val is None and FIELDS[key].default is None)
+                    or _fits(val, FIELDS[key].types)):
                 raise InputError(f"invalid config field {key!r}: {json.dumps(val)}")
         cfg.update(user)
-    cfg.update({k: v for k in DEFAULTS if (v := getattr(args, k, None)) is not None})
-    for name, least in MINIMUM.items():
-        if cfg[name] < least:
-            raise InputError(f"{name} must be >= {least}, got {cfg[name]}")
+    cfg.update({k: v for k in fields if (v := getattr(args, k, None)) is not None})
+    for key in fields:
+        if (least := FIELDS[key].least) is not None and cfg[key] < least:
+            raise InputError(f"{key} must be >= {least}, got {cfg[key]}")
     return cfg
 
 
@@ -503,12 +493,16 @@ def cmd_verify_all(cfg: dict) -> int:
     return EXIT_OK
 
 
-DISPATCH = {
-    "variance": cmd_variance,
-    "modulus": cmd_modulus,
-    "cf": cmd_cf,
-    "distance": cmd_distance,
-    "verify-all": cmd_verify_all,
+# Each command's function and the config fields it reads; it takes no others.
+COMMANDS = {
+    "variance": (cmd_variance, ("seed", "samples", "out", "polynomial")),
+    "modulus": (cmd_modulus, ("seed", "samples", "grid", "out", "svg",
+                              "corrupt_envelope_exponent", "polynomial")),
+    "cf": (cmd_cf, ("seed", "samples", "out", "svg", "polynomial")),
+    "distance": (cmd_distance, ("seed", "samples", "grid", "out", "polynomial",
+                                "polynomial_b")),
+    "verify-all": (cmd_verify_all, ("seed", "samples", "grid", "out",
+                                    "corrupt_envelope_exponent", "n", "m", "d", "count")),
 }
 
 
@@ -517,7 +511,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        return DISPATCH[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION

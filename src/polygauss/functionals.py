@@ -348,12 +348,17 @@ def modulus_envelope(p: EnvelopeParams, eps: float, exponent_bias: float = 0.0) 
     """(eps/a)^(1/m) * (|ln(eps/a)|^(d-m) + 1), the unit-constant envelope.
 
     ``exponent_bias`` perturbs the 1/m exponent; nonzero values deliberately
-    corrupt the envelope (self-test hook for the verification harness).
+    corrupt the envelope (self-test hook for the verification harness).  An
+    envelope that is not finite and positive is an input error.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    u = eps / p.lead
-    return u ** (1.0 / p.m + exponent_bias) * log_bracket(u, p.d - p.m)
+    u = np.float64(eps) / p.lead
+    with np.errstate(over="ignore"):
+        value = u ** (1.0 / p.m + exponent_bias) * log_bracket(u, p.d - p.m)
+    if not 0 < value < math.inf:
+        raise InputError(f"envelope at eps {eps:g} is {value:g}, not finite and positive")
+    return value
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:

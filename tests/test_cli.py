@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
-from polygauss.cli import DEFAULTS, _build_parser, main
+from polygauss.cli import COMMANDS, FIELDS, _build_parser, main
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import dumps, monomial, scale
 
@@ -403,28 +403,94 @@ def test_bad_config_field_exits_3(tmp_path, capsys, override):
 def test_grid_spanning_infinite_decades_exits_3(tmp_path, capsys, command, override):
     # The probe and t ranges are the program's own, so a config that sets one,
     # even to infinitely many decades or too many points, exits 3 naming the field.
-    cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, "grid": 64, **override}
+    cfg = {"polynomial": json.loads(X1X2), "samples": 20_000, **override}
+    if command == "modulus":
+        cfg["grid"] = 64
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert next(iter(override)) in err
+    assert repr(next(iter(override))) in err
     assert not (tmp_path / "o").exists()
 
 
+def _subparsers():
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_flag_is_a_config_field():
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for command, parser in sub.choices.items():
+    # per command: its flags and the config-only fields are the fields it reads
+    config_only = {key for key, field in FIELDS.items() if field.flag is None}
+    subparsers = _subparsers()
+    assert set(subparsers) == set(COMMANDS)
+    for command, parser in subparsers.items():
         dests = {a.dest for a in parser._actions} - {"config", "help"}
-        assert dests <= set(DEFAULTS), (command, dests - set(DEFAULTS))
+        fields = set(COMMANDS[command][1])
+        assert dests | (config_only & fields) == fields, command
+        assert not dests & config_only, command
+
+
+# A flag or config key of a field the command does not read exits 3, even
+# where its value would be out of range for a command that reads it.
+@pytest.mark.parametrize("argv, config, named", [
+    (["variance", "--poly", X1X2, "--grid", "7", "--n", "500"], None, "--grid 7 --n 500"),
+    (["variance", "--poly", X1X2, "--count", "-1"], None, "--count -1"),
+    (["distance", "--poly", X1X2, "--poly-b", X1X2, "--svg"], None, "--svg"),
+    (["variance"], {"polynomial": json.loads(X1X2), "grid": 7}, "['grid']"),
+])
+def test_unread_field_exits_3(tmp_path, capsys, argv, config, named):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert run([*argv, "--samples", "1000", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["modulus", "verify-all"])
+@pytest.mark.parametrize("value", [-1e308, -math.inf, math.inf, math.nan])
+def test_corrupt_envelope_exponent_out_of_range_exits_3(tmp_path, capsys, command, value):
+    # -1e308 overflows the envelope; json.dumps writes the other three as
+    # -Infinity, Infinity and NaN, which json.loads reads back but JSON lacks
+    if command == "modulus":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"polynomial": json.loads(X1X2), "samples": 20_000,
+                                    "grid": 64, "out": str(tmp_path / "o"),
+                                    "corrupt_envelope_exponent": value}))
+    else:
+        path = small_family_cfg(tmp_path, "o", count=1, corrupt_envelope_exponent=value)
+    assert run([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    named = "not finite and positive" if value == -1e308 else "'corrupt_envelope_exponent'"
+    assert named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_each_commands_flags_and_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    for line in map(str.strip, readme.splitlines()):
+        cells = line.strip("|").split("|")
+        if line.startswith("| `") and len(cells) == 3:
+            command, flags, keys = (c.replace("`", "").split() for c in cells)
+            rows[command[0]] = (set(flags), set(keys))
+    subparsers = _subparsers()
+    assert set(rows) == set(subparsers)
+    for command, parser in subparsers.items():
+        flags = {o for a in parser._actions for o in a.option_strings}
+        flags -= {"-h", "--help", "--config"}
+        assert rows[command] == (flags, set(COMMANDS[command][1])), command
 
 
 def test_overflow_is_an_input_error(tmp_path, capsys):
     huge = '{"n": 1, "terms": [{"exp": [200], "coef": 1e300}]}'
-    for cmd in ("modulus", "cf"):
-        assert run([cmd, "--poly", huge, "--samples", "20000", "--grid", "128",
+    for cmd, extra in (("modulus", ["--grid", "128"]), ("cf", [])):
+        assert run([cmd, "--poly", huge, "--samples", "20000", *extra,
                     "--out", str(tmp_path / cmd)]) == 3
         assert "overflow" in capsys.readouterr().err
     # degree 218 with leading magnitude 1e-300: |ln(a eps)|^109 overflows
@@ -463,15 +529,10 @@ def _term(n):
 POLYS = st.integers(1, 2).flatmap(lambda n: st.fixed_dictionaries(
     {"n": st.just(n), "terms": st.lists(_term(n), max_size=3)}
 ))
-# Right-typed fields, values in and out of range.
-BASE = st.fixed_dictionaries(
-    {"polynomial": st.one_of(st.just(json.loads(X1X2)), POLYS),
-     "samples": st.sampled_from([12_000, 20_000]),
-     "grid": st.sampled_from([16, 64])},
-    optional={"seed": st.integers(-2, 50)},
-)
 # Count fields, which must be at least 1.
 COUNT_FIELDS = ("samples", "grid")
+# Keys the fuzzed commands do not read: an unknown one and a field of verify-all.
+UNREAD = ("bogus", "count")
 
 
 def _count_below_one(cfg):
@@ -482,21 +543,33 @@ def _config(cfg, low, bad):
     return {**cfg, **dict(low), **dict(bad)}
 
 
-# A base config with at most one count field set to 0 or below, and up to two
-# fields (or an unknown one) of the wrong type.
-CONFIGS = st.builds(
-    _config,
-    BASE,
-    st.lists(st.tuples(st.sampled_from(COUNT_FIELDS), st.integers(-3, 0)), max_size=1),
-    st.lists(st.tuples(st.sampled_from(
-        ["polynomial", "samples", "seed", "grid", "svg", "n", "count", "bogus"]
-    ), WRONG), max_size=2),
-)
+def _configs(command):
+    """Configs of the fields ``command`` reads, right-typed with values in and
+    out of range: at most one count field set to 0 or below, and up to two
+    fields of the wrong type or keys the command does not read."""
+    fields = [k for k in ("polynomial", "samples", "seed", "grid", "svg")
+              if k in COMMANDS[command][1]]
+    base = {"polynomial": st.one_of(st.just(json.loads(X1X2)), POLYS),
+            "samples": st.sampled_from([12_000, 20_000]),
+            "grid": st.sampled_from([16, 64])}
+    return st.builds(
+        _config,
+        st.fixed_dictionaries({k: v for k, v in base.items() if k in fields},
+                              optional={"seed": st.integers(-2, 50)}),
+        st.lists(st.tuples(st.sampled_from([k for k in COUNT_FIELDS if k in fields]),
+                           st.integers(-3, 0)), max_size=1),
+        st.lists(st.tuples(st.sampled_from(fields + list(UNREAD)), WRONG), max_size=2),
+    )
+
+
+CASES = st.sampled_from(["variance", "modulus", "cf"]).flatmap(
+    lambda command: st.tuples(st.just(command), _configs(command)))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(command=st.sampled_from(["variance", "modulus", "cf"]), cfg=CONFIGS)
-def test_any_config_runs_or_exits_with_one_line_error(command, cfg):
+@given(case=CASES)
+def test_any_config_runs_or_exits_with_one_line_error(case):
+    command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -504,7 +577,7 @@ def test_any_config_runs_or_exits_with_one_line_error(command, cfg):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3, 4)
-    if _count_below_one(cfg):
+    if _count_below_one(cfg) or set(cfg) & set(UNREAD):
         assert code == 3
     if code in (3, 4):
         assert err.getvalue().startswith("error: ")

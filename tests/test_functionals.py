@@ -234,6 +234,13 @@ def test_envelope_value_examples():
     assert pg.modulus_envelope(p, 2 * math.exp(-2)) == pytest.approx(3 * math.exp(-1))
 
 
+@pytest.mark.parametrize("bias", [-1e308, -math.inf, math.inf, math.nan])
+def test_envelope_not_finite_and_positive_is_an_input_error(bias):
+    # below eps = a the first two give an infinite envelope, the last two 0 and NaN
+    with pytest.raises(InputError, match="not finite and positive"):
+        pg.modulus_envelope(pg.EnvelopeParams(m=1, d=2), 0.1, exponent_bias=bias)
+
+
 def test_envelope_fit_self_consistency():
     p = pg.EnvelopeParams(m=2, d=3)
     eps = np.geomspace(1e-3, 0.1, 20)
