@@ -24,7 +24,7 @@ print(f"{'delta':>6s} {'tv':>8s} {'kr':>8s} {'bound ok':>9s} {'eps*':>7s} {'rati
 for i, delta in enumerate((0.02, 0.05, 0.1, 0.2)):
     g = pg.Polynomial(2, {(1, 1): 1.0, (1, 0): delta})
     sg = pg.sample(g, N, seed=200 + i)
-    grid = pg.quantile_grid(np.concatenate([sf.values, sg.values]), 400)
+    grid = pg.quantile_grid([sf, sg], 400)
     hf = pg.histogram_density(sf, 400, grid)
     hg = pg.histogram_density(sg, 400, grid)
     rep = pg.tv_vs_kr_check(hf, hg, np.geomspace(0.05, 0.9, 8))

@@ -88,9 +88,10 @@ def ecf_modulus(s: SampleSet, ts) -> CfCurve:
     is off by at most r.  Where that width has N/(p+1) or more occupied bins
     the t is summed directly, one exponential per sample: the (p+1) moments
     per bin would then outgrow the sorted samples, and on such dense inputs
-    binning every t was measured slower than this split.  The values are
-    sorted first, so the curve does not depend on sample order.  This is
-    the binned form of a type-3 nonuniform FFT: Lee & Greengard 2005,
+    binning every t was measured slower than this split.  The sums run over
+    ``s.sorted``, the sort the sample set shares with its grid and ECDF, so
+    the curve does not depend on sample order.  This is the binned form of
+    a type-3 nonuniform FFT: Lee & Greengard 2005,
     J. Comput. Phys. 206, "The type-3 nonuniform FFT and its applications";
     Barnett et al. 2019, arXiv:1808.06736.
 
@@ -106,7 +107,7 @@ def ecf_modulus(s: SampleSet, ts) -> CfCurve:
         raise InputError("t grid must be nonempty and finite")
     if np.any(ts <= 0):
         raise InputError("t grid must be positive")
-    vals = np.sort(s.values)
+    vals = s.sorted
     if not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):
         raise InputError("sample values must be finite")
     if not math.isfinite(ts.max() * max(-vals[0], vals[-1])):

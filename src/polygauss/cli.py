@@ -384,7 +384,7 @@ def _distance_reports(
     (samples ``sg``), both histogrammed on the quantile grid of their pooled
     samples: the distance report's payload and the two-term report."""
     with run.stage("histogram"):
-        grid = quantile_grid(np.concatenate([sf.values, sg.values]), cfg["grid"])
+        grid = quantile_grid([sf, sg], cfg["grid"])
         rho_f = histogram_density(sf, cfg["grid"], grid)
         rho_g = histogram_density(sg, cfg["grid"], grid)
     with run.stage("checks"):
@@ -456,7 +456,8 @@ def cmd_verify_all(cfg: dict) -> int:
             _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
             record(equiv_report)
 
-            med = float(np.median(s.values))
+            srt, half = s.sorted, s.count // 2  # np.median's value, read from the sort
+            med = float(srt[half] if s.count % 2 else (srt[half - 1] + srt[half]) / 2)
             std = float(np.std(s.values))
             intervals = [
                 (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)

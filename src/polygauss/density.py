@@ -21,13 +21,21 @@ does not grow with n times the chunk size.  Consecutive draws from one
 generator continue its stream exactly, and each value is computed from its
 own row alone, so the block size changes no value: the stream is the one a
 single (chunk, n) draw would give.
+
+A ``SampleSet`` sorts its values at most once (``SampleSet.sorted``).  The
+grid's tail quantiles are read from that sort by rank, and the empirical
+CDF and the empirical characteristic function (``charfn.ecf_modulus``) use
+the same sorted array.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, roots_legendre
@@ -59,6 +67,14 @@ class SampleSet:
     @property
     def count(self) -> int:
         return int(self.values.shape[0])
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        """The values in ascending order, read-only; sorted on first access
+        only, so the grid, the ECDF, the median and the ECF share one sort."""
+        out = np.sort(self.values)
+        out.setflags(write=False)
+        return out
 
 
 def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
@@ -163,13 +179,33 @@ class GriddedDensity:
         return float(v[0] + np.abs(np.diff(v)).sum() + v[-1])
 
 
-def quantile_grid(values: np.ndarray, size: int) -> tuple[float, float]:
+def _quantile(sets: Sequence[SampleSet], q: float) -> float:
+    """``np.quantile`` of the pooled values of ``sets`` at ``q``, bit for
+    bit: numpy's linear rule (Hyndman & Fan 1996, Am. Stat. 50(4), type 7)
+    between the order statistics of ranks i = floor(v) and i + 1, v = (n - 1) q.
+    Both are among the i + 2 smallest values of each set, and among its
+    n - i largest, so they are read from the end of each sort nearer to them."""
+    n = sum(s.count for s in sets)
+    v = (n - 1) * q
+    i = math.floor(v)
+    if i + 2 <= n - i:
+        tail = np.sort(np.concatenate([s.sorted[: i + 2] for s in sets]))[i:]
+    else:
+        tail = np.sort(np.concatenate([s.sorted[max(s.count - n + i, 0):] for s in sets]))[i - n:]
+    a, b = float(tail[0]), float(tail[min(1, tail.size - 1)])  # n = 1: no rank 1
+    g = v - i
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def quantile_grid(sets: Sequence[SampleSet], size: int) -> tuple[float, float]:
     """(lo, step) of the ``size``-cell grid over the [1e-4, 1 - 1e-4]
-    quantiles of ``values``, padded by two cells.  Histogramming several
-    sample sets on the grid of their pooled values puts them on one grid."""
+    quantiles of the pooled values of ``sets``, padded by two cells.  The
+    quantiles are read by rank from each set's one sort, so pooling merges
+    only the tails.  Histogramming several sample sets on the grid of their
+    pooled values puts them on one grid."""
     if size < 16:
         raise InputError(f"need at least 16 cells, got {size}")
-    q_lo, q_hi = np.quantile(values, [TAIL_QUANTILE, 1.0 - TAIL_QUANTILE])
+    q_lo, q_hi = _quantile(sets, TAIL_QUANTILE), _quantile(sets, 1.0 - TAIL_QUANTILE)
     if q_hi <= q_lo:
         raise ResolutionError("samples are (nearly) constant; no grid range")
     step = (q_hi - q_lo) / (size - 4)
@@ -180,13 +216,18 @@ def _half_counts(
     values: np.ndarray, lo: float, step: float, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell counts of the two halves of ``values``, binned in one pass; their
-    sum is the count of the whole sample (integers, so exact in float64)."""
+    sum is the count of the whole sample (integers, so exact in float64).
+    Cell indices are shifted by one and clipped to [0, size + 1] before the
+    cast, so a value any distance off the grid lands in an end bin, which is
+    dropped, and never in an integer the cast cannot hold."""
     idx = values - lo
     idx /= step
-    idx = np.floor(idx, out=idx).astype(np.int64)
+    np.floor(idx, out=idx)
+    idx += 1.0
+    idx = np.clip(idx, 0.0, size + 1.0, out=idx).astype(np.int64)
     half = values.shape[0] // 2
     return tuple(
-        np.bincount(part[(part >= 0) & (part < size)], minlength=size).astype(np.float64)
+        np.bincount(part, minlength=size + 2)[1:-1].astype(np.float64)
         for part in (idx[:half], idx[half:])
     )
 
@@ -203,7 +244,7 @@ def histogram_density(
         raise InputError(f"need at least 16 cells, got {size}")
     if s.count < 10 * size:
         raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
-    glo, step = quantile_grid(s.values, size) if grid is None else grid
+    glo, step = quantile_grid([s], size) if grid is None else grid
     c1, c2 = _half_counts(s.values, glo, step, size)
     counts = c1 + c2
     n = s.count
@@ -333,7 +374,7 @@ class EmpiricalCdf:
     """Right-continuous empirical CDF, queryable at any real point."""
 
     def __init__(self, s: SampleSet):
-        self._sorted = np.sort(s.values)
+        self._sorted = s.sorted
         self._n = s.count
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:

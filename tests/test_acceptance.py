@@ -179,7 +179,7 @@ def test_criterion_7_distance_comparison(x1x2_samples):
     for i, delta in enumerate((0.02, 0.05, 0.1, 0.2)):
         g = Polynomial(2, {(1, 1): 1.0, (1, 0): delta})
         sg = pg.sample(g, n, seed=70_000 + i)
-        grid = pg.quantile_grid(np.concatenate([x1x2_samples.values, sg.values]), 400)
+        grid = pg.quantile_grid([x1x2_samples, sg], 400)
         hf = pg.histogram_density(x1x2_samples, 400, grid)
         hg = pg.histogram_density(sg, 400, grid)
         rep = pg.tv_vs_kr_check(hf, hg, np.geomspace(0.05, 0.9, 8))

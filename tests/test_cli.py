@@ -202,6 +202,16 @@ def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
     assert all(len(laws) == 2 and laws[0] != laws[1] for laws in drawn)
 
 
+def test_verify_all_reads_order_statistics_from_one_sort(tmp_path, monkeypatch):
+    def full_sample_pass(*args, **kwargs):
+        raise AssertionError("a quantile, median or partition pass over a whole sample")
+
+    for name in ("quantile", "median", "partition"):
+        monkeypatch.setattr(np, name, full_sample_pass)
+    cfg = small_family_cfg(tmp_path, "vs", count=1)
+    assert run(["verify-all", "--config", str(cfg)]) == 0
+
+
 def test_verify_all_deterministic(tmp_path):
     cfg1 = small_family_cfg(tmp_path, "va1")
     cfg2 = small_family_cfg(tmp_path, "va2")
@@ -296,6 +306,27 @@ def test_scaling_laws_need_a_non_constant_polynomial(tmp_path, capsys, argv):
     assert "non-constant polynomial" in capsys.readouterr().err
 
 
+X400 = '{"n": 1, "terms": [{"exp": [400], "coef": 1.0}]}'
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    # the largest samples lie some 1e40 grid cells past the grid's end
+    (["modulus", "--poly", X400], 4, 1),
+    (["distance", "--poly", X400, "--poly-b", dumps(monomial(1, (1,)))], 0, 0),
+])
+def test_values_far_off_the_grid_print_no_warning(tmp_path, argv, code, lines):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "default", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polygauss.cli", *argv, "--samples", "100000",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == lines, proc.stderr
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -320,7 +351,7 @@ def _oracle():
 # Each case names one condition that must end a run with exit 4, and raises it
 # the way a command would reach it.
 @pytest.mark.parametrize("trigger, message", [
-    pytest.param(lambda: pg.quantile_grid(np.ones(10), 64), "constant",
+    pytest.param(lambda: pg.quantile_grid([pg.SampleSet(np.ones(10), 0)], 64), "constant",
                  id="DegenerateRange"),
     pytest.param(lambda: pg.shift_modulus_curve(_oracle(), [_oracle().step * 1.5]),
                  "below resolution", id="EpsilonBelowResolution"),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import k0, ndtr
 
 import polygauss as pg
@@ -216,18 +218,89 @@ def test_histogram_preconditions(x1_samples):
         pg.histogram_density(tiny, 64)
 
 
+def _numpy_grid(values, size):
+    """The grid ``quantile_grid`` must give, from ``np.quantile`` of the pooled
+    values; None where it must raise ResolutionError."""
+    q_lo, q_hi = np.quantile(values, [1e-4, 1 - 1e-4])
+    if q_hi <= q_lo:
+        return None
+    step = (q_hi - q_lo) / (size - 4)
+    return float(q_lo - 2.0 * step), float(step)
+
+
+def _grid_or_none(sets, size):
+    try:
+        return pg.quantile_grid(sets, size)
+    except ResolutionError:
+        return None
+
+
 def test_quantile_grid_sets_one_grid(x1_samples, x1sq_samples):
-    both = np.concatenate([x1_samples.values, x1sq_samples.values])
-    grid = pg.quantile_grid(both, 400)
+    grid = pg.quantile_grid([x1_samples, x1sq_samples], 400)
     hx = pg.histogram_density(x1_samples, 400, grid)
     hy = pg.histogram_density(x1sq_samples, 400, grid)
     assert (hx.lo, hx.step, hx.size) == (hy.lo, hy.step, hy.size)
+    both = np.concatenate([x1_samples.values, x1sq_samples.values])
+    assert grid == _numpy_grid(both, 400)
     q_lo, q_hi = np.quantile(both, [1e-4, 1 - 1e-4])
     assert hx.lo < q_lo and q_hi < hx.hi
-    own = pg.histogram_density(x1_samples, 400, pg.quantile_grid(x1_samples.values, 400))
+    own = pg.histogram_density(x1_samples, 400, pg.quantile_grid([x1_samples], 400))
     assert np.array_equal(own.values, pg.histogram_density(x1_samples, 400).values)
+    assert pg.quantile_grid([x1_samples], 400) == _numpy_grid(x1_samples.values, 400)
     with pytest.raises(ResolutionError, match="constant"):
-        pg.quantile_grid(np.ones(10), 64)
+        pg.quantile_grid([pg.SampleSet(np.ones(10), 0)], 64)
+
+
+def _sample_sets(sizes, seed, levels):
+    """One set per size; ``levels`` > 0 gives integer values in [0, levels),
+    so ties, else normals of a random location and scale per set, so one set
+    can hold a whole tail of the pool."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        return [pg.SampleSet(rng.integers(0, levels, n).astype(np.float64), k)
+                for k, n in enumerate(sizes)]
+    return [pg.SampleSet(rng.normal(rng.normal(0.0, 5.0), rng.lognormal(0.0, 2.0), n), k)
+            for k, n in enumerate(sizes)]
+
+
+# Pooled sizes up to 10^4 put both tail ranks (n - 1) 1e-4 below 1, and
+# every size below 5001 interpolates the top quantile with g >= 0.5; the
+# larger sizes move the bottom rank past 1, where g >= 0.5 happens too.
+SIZES = st.one_of(st.integers(1, 5000), st.integers(5001, 40_000))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(sizes=st.lists(SIZES, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 0, 2, 7, 1000]),
+       q=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+@example(sizes=[1], seed=0, levels=0, q=0.5)
+@example(sizes=[2, 1], seed=0, levels=0, q=0.5)  # g = 0.5 exactly
+@example(sizes=[7501], seed=1, levels=0, q=0.25)  # (n - 1) 1e-4 = 0.75: bottom g >= 0.5
+@example(sizes=[9000, 6001], seed=2, levels=3, q=0.9)  # ranks 1 and 14998 among ties
+def test_quantile_grid_reads_numpy_quantiles(sizes, seed, levels, q):
+    sets = _sample_sets(sizes, seed, levels)
+    pooled = np.concatenate([s.values for s in sets])
+    want = _numpy_grid(pooled, 64)
+    assert _grid_or_none(sets, 64) == want
+    assert _grid_or_none(sets[::-1], 64) == want
+    assert density._quantile(sets, q) == np.quantile(pooled, q)
+
+
+def test_quantile_at_g_one_half_rounds_like_numpy():
+    # numpy takes b - (b - a)(1 - g) from g = 0.5 on, and here a + (b - a) g
+    # rounds to another float
+    sets = [pg.SampleSet(np.array([0.1]), 0), pg.SampleSet(np.array([-1.0]), 1)]
+    assert density._quantile(sets, 0.5) == np.quantile([0.1, -1.0], 0.5) == -0.45000000000000007
+
+
+def test_sorted_is_one_read_only_sort(x1_samples):
+    s = pg.SampleSet(x1_samples.values[:5000], x1_samples.seed)
+    first = s.sorted
+    assert first is s.sorted
+    assert np.array_equal(first, np.sort(s.values))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 def _three_pass_histogram(values, lo, step, size):
@@ -252,7 +325,7 @@ def _three_pass_histogram(values, lo, step, size):
 @pytest.mark.parametrize("pooled", [False, True])
 def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled):
     s = request.getfixturevalue(name)
-    grid = pg.quantile_grid(np.concatenate([s.values, x1sq_samples.values]), 400) if pooled else None
+    grid = pg.quantile_grid([s, x1sq_samples], 400) if pooled else None
     rho = pg.histogram_density(s, 400, grid)
     values, clipped, noise = _three_pass_histogram(s.values, rho.lo, rho.step, rho.size)
     assert rho.values.tobytes() == values.tobytes()

@@ -56,7 +56,7 @@ def test_solver_matches_highs(size, x1_samples, x1sq_samples, x1x2_samples):
         rho = pg.histogram_density(s, size)
         w = _telescoped_weights(rho.values)
         cases += [(w, _dual_box(rho, eps), rho.step) for eps in (0.01, 0.3, 100.0)]
-    grid = pg.quantile_grid(np.concatenate([x1_samples.values, x1x2_samples.values]), size)
+    grid = pg.quantile_grid([x1_samples, x1x2_samples], size)
     hx = pg.histogram_density(x1_samples, size, grid)
     hy = pg.histogram_density(x1x2_samples, size, grid)
     kr_weights = hx.step * (hx.values - hy.values)

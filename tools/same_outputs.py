@@ -114,6 +114,15 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("variance x1*x2 three chunks", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "3000000", "--seed", "2"]))
+    # Quantile ranks at the edges of the sort: 4000 samples put the bottom
+    # quantile between order statistics 0 and 1, and an odd sample count
+    # takes the median's middle value and splits the noise halves unequally.
+    runs.append(("modulus x1*x2 4000 samples", [
+        "modulus", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]), "--samples", "4000",
+        "--grid", "400", "--seed", "1"]))
+    runs.append(("verify-all n=3 m=1 d=3 odd samples", [
+        "verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", "1",
+        "--samples", "1000001", "--seed", "1"]))
     # The CSV and SVG writers of modulus and cf.
     runs.append(("modulus x1*x2 svg", [
         "modulus", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]), "--samples", "200000",
