@@ -70,8 +70,7 @@ class SampleSet:
 
     @cached_property
     def sorted(self) -> np.ndarray:
-        """The values in ascending order, read-only; sorted on first access
-        only, so the grid, the ECDF, the median and the ECF share one sort."""
+        """The values in ascending order, read-only, sorted on first access only."""
         out = np.sort(self.values)
         out.setflags(write=False)
         return out
