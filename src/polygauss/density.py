@@ -7,20 +7,25 @@ covered probability mass, at least ``1 - 1e-3``).  Cell averaging, rather
 than point sampling, keeps the mass identity exact even for densities with
 integrable singularities (e.g. the chi-square(1) blow-up at zero).
 
-Sampling is deterministic and reproducible: the stream is a Philox counter-
-based generator keyed through ``numpy.random.SeedSequence(seed).spawn``, one
-substream per fixed-size chunk of the output, with normals drawn by numpy's
-ziggurat method.  ``sample_many`` draws several laws, each a (polynomial,
-seed) job, and puts the chunks of all of them in one thread pool, so two
-one-chunk laws are drawn at once; ``sample`` is its one-job case.  Results
-are bit-identical for any thread count and any set of jobs drawn together,
-because each job keeps its own seed, chunk boundaries are fixed and each
-chunk writes its own slice of its job's output.  Inside a chunk, rows are
-drawn and evaluated in blocks of about ``BLOCK_BYTES`` of normals, so memory
-does not grow with n times the chunk size.  Consecutive draws from one
-generator continue its stream exactly, and each value is computed from its
-own row alone, so the block size changes no value: the stream is the one a
-single (chunk, n) draw would give.
+Sampling is deterministic and reproducible.  f(X) has the same law as f
+restricted to its active variables, the ones some term uses, evaluated at
+that many standard normals, so only those are drawn; padding f with unused
+variables leaves every value unchanged, and a constant draws no normals.
+The stream is numpy's SFC64 generator keyed through
+``numpy.random.SeedSequence(seed).spawn``, one substream per fixed-size
+chunk of ``SAMPLE_CHUNK`` values, with normals drawn by numpy's ziggurat
+method.  ``sample_many`` draws several laws, each a (polynomial, seed) job,
+and puts the chunks of all of them in one thread pool, so a one-law draw of
+more than one chunk, or several laws, keep every CPU busy; ``sample`` is its
+one-job case.  Results are bit-identical for any thread count and any set
+of jobs drawn together, because each job keeps its own seed, chunk
+boundaries are fixed and each chunk writes its own slice of its job's
+output.  Inside a chunk, rows are drawn and evaluated in blocks of about
+``BLOCK_BYTES`` of normals, so memory is the output plus one block per
+thread, whatever n is.  Consecutive draws from one generator continue its
+stream exactly, and each value is computed from its own row alone, so the
+block size changes no value: the stream is the one a single (chunk, active
+variables) draw would give.
 
 A ``SampleSet`` sorts its values at most once (``SampleSet.sorted``).  The
 grid's tail quantiles are read from that sort by rank, and the empirical
@@ -43,7 +48,7 @@ from scipy.special import ndtr, roots_legendre
 from .errors import InputError, ResolutionError
 from .poly import Polynomial, evaluate_batch
 
-SAMPLE_CHUNK = 1 << 20
+SAMPLE_CHUNK = 1 << 18
 BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
 # most chunks drawn at once: the CPUs this process may run on
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -98,17 +103,21 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
     outputs, tasks = [], []
     for f, seed in jobs:
         values = np.empty(n_samples)  # first, so a size too large fails before spawning
+        outputs.append(values)
+        active = sorted({i for exps in f.terms for i, e in enumerate(exps) if e})
+        if not active:  # a constant: no normals to draw
+            values.fill(sum(f.terms.values(), 0.0))
+            continue
+        f = Polynomial(len(active), {tuple(exps[i] for i in active): c
+                                     for exps, c in f.terms.items()})
         children = np.random.SeedSequence(seed).spawn(n_chunks)
         # the floor keeps per-block Python overhead small next to the arithmetic
         rows = max(4096, BLOCK_BYTES // (8 * f.n))
-        if rows * f.n > np.iinfo(np.intp).max // 8:
-            raise InputError(f"a block of {rows} rows of {f.n} normals is too large to allocate")
-        outputs.append(values)
         tasks += [(f, values, rows, child, i) for i, child in enumerate(children)]
 
     def draw(task) -> None:
         f, values, rows, child, i = task
-        gen = np.random.Generator(np.random.Philox(child))
+        gen = np.random.Generator(np.random.SFC64(child))
         end = min((i + 1) * SAMPLE_CHUNK, n_samples)
         for lo in range(i * SAMPLE_CHUNK, end, rows):
             hi = min(lo + rows, end)

@@ -12,6 +12,9 @@ checks.
   agree).
 * ``evaluate_expansion`` evaluates a Hermite expansion (``hermite_expand``
   must reproduce the polynomial).
+* ``quadratic_cf`` is the exact |E exp(i t f(X))| of a quadratic form
+  plus a linear term, from one symmetric eigendecomposition (``ecf_modulus``
+  must agree within its stated stderr).
 * ``class_exponents`` lists a class's admissible exponent tuples by walking
   all (m + 1)^n of them (``random_in_class``'s unranking must index them
   the same way).
@@ -179,6 +182,23 @@ def evaluate_expansion(exp: HermiteExpansion, x: np.ndarray) -> np.ndarray:
                 term = term * tables[i][k]
         out += term
     return out
+
+
+def quadratic_cf(a, b, ts) -> np.ndarray:
+    """|E exp(i t (X^T A X + b^T X))| per t, for X ~ N(0, I_n) and A symmetric.
+
+    With A = Q diag(lam) Q^T and beta = Q^T b, the coordinates of Q^T X are
+    independent standard normals, and each contributes one factor:
+
+        |phi(t)| = prod_j |1 - 2 i t lam_j|^(-1/2) exp(-(t^2/2) Re sum_j beta_j^2 / (1 - 2 i t lam_j))
+                 = prod_j (1 + 4 t^2 lam_j^2)^(-1/4) exp(-(t^2/2) beta_j^2 / (1 + 4 t^2 lam_j^2))
+
+    (Imhof 1961, Biometrika 48(3/4)).  A constant term changes no modulus."""
+    lam, q = np.linalg.eigh(np.asarray(a, dtype=np.float64))
+    beta = q.T @ np.asarray(b, dtype=np.float64)
+    t = np.asarray(ts, dtype=np.float64)
+    r = 1.0 + 4.0 * np.outer(t * t, lam * lam)
+    return np.exp(-0.25 * np.log(r).sum(axis=1) - 0.5 * t * t * (beta * beta / r).sum(axis=1))
 
 
 def class_exponents(params: ClassParams) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ from polygauss.density import SampleSet
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import Polynomial, monomial, scale
 
-from oracles import ecf_direct
+from oracles import ecf_direct, quadratic_cf
 
 
 def truncation_bound(curve, n):
@@ -195,3 +195,34 @@ def test_decay_exponents():
     assert pg.decay_exponents(pg.EnvelopeParams(m=2, d=2), 4) == (0.0, 4.5)
     assert pg.decay_exponents(pg.EnvelopeParams(m=1, d=3), 10) == (2.0, 12.5)
 
+
+
+def _chain(n: int):
+    """The chain sum_i x_i x_(i+1) plus 0.3 x_1 in n variables, as a
+    polynomial and as the (A, b) of x^T A x + b^T x."""
+    terms, a, b = {}, np.zeros((n, n)), np.zeros(n)
+    for i in range(n - 1):
+        exps = [0] * n
+        exps[i] = exps[i + 1] = 1
+        terms[tuple(exps)] = 1.0
+        a[i, i + 1] = a[i + 1, i] = 0.5
+    terms[(1,) + (0,) * (n - 1)] = 0.3
+    b[0] = 0.3
+    return Polynomial(n, terms), a, b
+
+
+def test_quadratic_cf_closed_forms():
+    t = pg.default_t_grid(0.01, 100.0, 8)
+    assert np.allclose(quadratic_cf([[1.0]], [0.0], t), (1 + 4 * t**2) ** -0.25, rtol=1e-12)
+    assert np.allclose(quadratic_cf([[0.0]], [2.0], t), np.exp(-2 * t**2), rtol=1e-12)
+    _, a, b = _chain(2)
+    assert np.allclose(quadratic_cf(a, 0 * b, t), (1 + t**2) ** -0.5, rtol=1e-12)  # x1 x2
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_ecf_within_4_stderr_of_the_exact_quadratic_cf(n):
+    # a law that is no sum of independent pieces in its variables
+    f, a, b = _chain(n)
+    curve = pg.ecf_modulus(pg.sample(f, 1_000_000, seed=1), pg.default_t_grid(lo=0.01))
+    gap = np.abs(curve.modulus - quadratic_cf(a, b, curve.t)) / curve.stderr
+    assert gap.max() <= 4.0

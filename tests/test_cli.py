@@ -276,15 +276,15 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
 
 # The third and fourth ask for 10^17 float64 samples or 3 * 10^17 member
 # seeds, more bytes than a 64-bit address space holds, so the allocation fails
-# at once; the last three ask for blocks of normals in 10^17 variables, which
-# sampling refuses before it allocates them.
+# at once.  The last two give the zero polynomial in 10^17 variables: it has
+# no active variable, so no normal is drawn and it fails as in one variable.
 @pytest.mark.parametrize("argv, code", [
     (["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1"], 3),
     (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [0], "coef": 2.0}]}'], 4),
     (["variance", "--poly", X1X2, "--samples", str(10**17)], 3),
     (["verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", str(10**17)], 3),
-    *[([command, "--poly", '{"n": 100000000000000000, "terms": []}'], 3)
-      for command in ("variance", "modulus", "cf")],
+    (["cf", "--poly", '{"n": 100000000000000000, "terms": []}'], 3),
+    (["modulus", "--poly", '{"n": 100000000000000000, "terms": []}'], 4),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert run([*argv, "--out", str(tmp_path / "big")]) == code
@@ -292,6 +292,21 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.strip() != "error:"
     assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("command, code", [("variance", 0), ("modulus", 4), ("cf", 3)])
+def test_zero_polynomial_runs_alike_in_any_number_of_variables(tmp_path, capsys, command, code):
+    # only the variables some term uses are drawn, so 10^17 unused ones cost nothing
+    seen = []
+    for n in (1, 10**17):
+        out = tmp_path / str(n)
+        assert run([command, "--poly", json.dumps({"n": n, "terms": []}),
+                    "--samples", "20000", "--out", str(out)]) == code
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+                 if p.name != "run_manifest.json"}
+        seen.append((capsys.readouterr(), files))
+    assert seen[0] == seen[1]
+    assert bool(seen[0][1]) == (code == 0)
 
 
 @pytest.mark.parametrize("argv", [

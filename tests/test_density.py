@@ -25,6 +25,9 @@ from polygauss.poly import (
 )
 
 
+TWO_CHUNKS = SAMPLE_CHUNK + 12_345  # a sample size of two chunks, the second short
+
+
 def test_sample_determinism_and_worker_independence(monkeypatch):
     f = monomial(2, (1, 1))
     a = pg.sample(f, 50_000, seed=5)
@@ -40,7 +43,7 @@ def test_sample_determinism_and_worker_independence(monkeypatch):
 def test_sample_worker_independence_across_chunks(monkeypatch):
     # more samples than one chunk so the split actually matters
     f = monomial(1, (1,))
-    n = (1 << 20) + 12_345
+    n = TWO_CHUNKS
     got = []
     for threads in (1, 8):
         monkeypatch.setattr(density, "THREADS", threads)
@@ -53,28 +56,28 @@ def test_sample_worker_independence_across_chunks(monkeypatch):
 # derives for it.  Any rewrite of sampling must keep the stream bit-identical.
 STREAM_DIGESTS = {
     ((14, 2, 3), 1): (
-        "28ae5352733382bc938cd751f8bfd5001b37755f041c811cd83658bd4a1213c1",
-        "417136f200896a458b5a00b41a656469787b3525f8f4669277f874a5d30a04fb",
+        "cd30e68db16ea145ab3d09febaa88c4cdba3a5959c1e8927748ae232b3bd5698",
+        "7a07cbb93a204d6e8ffd2bf89d71c6e9406e1a20b8b4bccaa6e973c759caacc4",
     ),
     ((14, 2, 3), 5): (
-        "7516f3aae0258ee80ac9a1a4739ab9e519a6e60b072da203c29817019f4a65e3",
-        "d1b35a1c9f03f0c778412927654d0989b8272d9d600a973b839ae7f06574270e",
+        "4088cadd65850e5f4ab91dbaa598efcc045d26f9aa57cf39f6dc828574578294",
+        "eac0059b8a5e6b46f785b5e8aeeaaa8d502e381d6b6f5d53eb2eb641afe5c68d",
     ),
     ((14, 2, 3), 7): (
-        "d5822b9f563bb3cdd2a4e6b5bcf84f2e12a0938d298e25467a3b8793a7424dd3",
-        "5ed722ac998dccfa5cf77cff94d8d8861f64945312d91870fb111a431ef6bcd3",
+        "cf373b0cb6336f9b71c92627a7634bfa80c5541f694c43cfcf83a5abcb34fa9d",
+        "6656c6d59f47b5ce3d5a5e0769bd70ede2c82f6b607246f675f57cc9bc8c7c8f",
     ),
     ((3, 1, 3), 1): (
-        "2552fa2b98b75ec4b00bbdfc9b23526f0ef9547f3dc2f3a214ef48575ac613a7",
-        "ddd145d24ca5e14fb33c2aa63be49879aefba6622ffce39a83eafc7a73c6b5b8",
+        "c84cbd2c2f1f4dff55227016d07529373cac964d8183d4b58b5e24bb77fe1311",
+        "26c5622be184773125fcdd8958f8cf5f89d2d47e6b0be1fb8051e5c06ff81e93",
     ),
     ((3, 1, 3), 3): (
-        "626e939cda05f8ddb99229eaa33932e2850f23dc3b093f7ca1ba0cd85527339b",
-        "10b49adca8ef9f28cc86c4ca5c0566d77fd11b40900d932fb2cdfaf90541d6c8",
+        "3bf1a04485244582c7381cea48d9c93636a4f8773cc80547c2fe60e9d863c943",
+        "d8c8f84a7d8122e7310384c71a6056146004d9b184e3571999a79292eff1a47c",
     ),
 }
-# The same for (1 << 20) + 12_345 values (two chunks) of the first wide member's f.
-TWO_CHUNK_DIGEST = "44b385831c56b6dc16dff07e2af7a41fe18cb1f6f0e917eeb0a9faa4375353e4"
+# The same for TWO_CHUNKS values of the first wide member's f.
+TWO_CHUNK_DIGEST = "b439c984dcb80a0a55c7849da06f525c7939dcbe10b194e07491be88e3445883"
 
 
 def _member_draws(params: ClassParams, s: int):
@@ -97,7 +100,7 @@ def test_sample_stream_is_pinned(monkeypatch):
     (f, seed), _ = _member_draws(ClassParams(14, 2, 3), 1)
     for threads in (1, 2):
         monkeypatch.setattr(density, "THREADS", threads)
-        s = pg.sample(f, (1 << 20) + 12_345, seed)
+        s = pg.sample(f, TWO_CHUNKS, seed)
         assert _values_digest(s) == TWO_CHUNK_DIGEST, threads
 
 
@@ -109,7 +112,7 @@ def test_sample_many_keeps_the_pinned_streams(monkeypatch, threads):
     assert got == [digest for pair in STREAM_DIGESTS.values() for digest in pair]
     # two chunks per law, so four tasks share the pool
     (f, seed_f), (g, seed_g) = _member_draws(ClassParams(14, 2, 3), 1)
-    n = (1 << 20) + 12_345
+    n = TWO_CHUNKS
     sf, sg = pg.sample_many([(f, seed_f), (g, seed_g)], n)
     assert _values_digest(sf) == TWO_CHUNK_DIGEST
     monkeypatch.setattr(density, "THREADS", 1)
@@ -136,7 +139,7 @@ def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
 
 def test_sample_values_do_not_depend_on_block_size(monkeypatch):
     f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25, (0, 0, 0): 2.0})
-    n = SAMPLE_CHUNK + 12_345  # two chunks; no block size divides either
+    n = TWO_CHUNKS  # the default block size divides neither chunk
     want = pg.sample(f, n, seed=11).values
     for block_bytes in (1, 8 * f.n * 2 * SAMPLE_CHUNK):  # 4096 rows; whole chunks
         monkeypatch.setattr(density, "BLOCK_BYTES", block_bytes)
@@ -144,6 +147,27 @@ def test_sample_values_do_not_depend_on_block_size(monkeypatch):
             monkeypatch.setattr(density, "THREADS", threads)
             got = pg.sample(f, n, seed=11).values
             assert np.array_equal(got, want), (block_bytes, threads)
+
+
+def _pad(f: Polynomial, n: int, where) -> Polynomial:
+    """f as a polynomial in n variables, its variable i at position where[i]."""
+    terms = {}
+    for exps, coef in f.terms.items():
+        padded = [0] * n
+        for i, e in zip(where, exps):
+            padded[i] = e
+        terms[tuple(padded)] = coef
+    return Polynomial(n, terms)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unused_variables_change_no_value(monkeypatch, threads):
+    monkeypatch.setattr(density, "THREADS", threads)
+    f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25, (0, 0, 0): 2.0})
+    want = pg.sample(f, TWO_CHUNKS, seed=4).values
+    for where in ((0, 1, 2), (1, 6, 13)):  # unused variables at the end; interleaved
+        padded = pg.sample(_pad(f, 14, where), TWO_CHUNKS, seed=4).values
+        assert np.array_equal(padded, want), where
 
 
 def test_sample_checks_overflow_in_the_last_block(monkeypatch):

@@ -100,18 +100,18 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("verify-all n=14 m=2 d=3 count=3 seed=1", [
         "verify-all", "--n", "14", "--m", "2", "--d", "3", "--count", "3",
         "--seed", "1"]))
-    # Two chunks of 2^20 samples per law, so the joint draw of f and g puts
-    # four chunks in one pool.
-    runs.append(("distance x1*x2 vs x1*x2+0.2*x1 two chunks", [
+    # Six chunks of 2^18 samples per law, the last one short, so the joint
+    # draw of f and g puts twelve chunks in one pool.
+    runs.append(("distance x1*x2 vs x1*x2+0.2*x1 six chunks", [
         "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1500000",
         "--grid", "400", "--seed", "9"]))
     runs.append(("variance x1*x2", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "1000000", "--seed", "1"]))
-    # Three chunks of 2^20 samples, so sampling draws more than one at once
-    # wherever there is more than one CPU.
-    runs.append(("variance x1*x2 three chunks", [
+    # Twelve chunks of 2^18 samples, the last one short, so sampling draws
+    # more than one at once wherever there is more than one CPU.
+    runs.append(("variance x1*x2 twelve chunks", [
         "variance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--samples", "3000000", "--seed", "2"]))
     # Quantile ranks at the edges of the sort: 4000 samples put the bottom
