@@ -22,6 +22,7 @@ from polygauss.poly import dumps, monomial, scale
 X1X2 = dumps(monomial(2, (1, 1)))
 X1SQ = dumps(monomial(1, (2,)))
 CONSTANT = '{"n": 1, "terms": [{"exp": [0], "coef": 3.0}]}'
+ZERO_1E17 = '{"n": 100000000000000000, "terms": []}'
 
 
 def run(args):
@@ -276,15 +277,16 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
 
 # The third and fourth ask for 10^17 float64 samples or 3 * 10^17 member
 # seeds, more bytes than a 64-bit address space holds, so the allocation fails
-# at once.  The last two give the zero polynomial in 10^17 variables: it has
+# at once.  The last three give the zero polynomial in 10^17 variables: it has
 # no active variable, so no normal is drawn and it fails as in one variable.
 @pytest.mark.parametrize("argv, code", [
     (["verify-all", "--n", "400", "--m", "10", "--d", "40", "--count", "1"], 3),
     (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [0], "coef": 2.0}]}'], 4),
     (["variance", "--poly", X1X2, "--samples", str(10**17)], 3),
     (["verify-all", "--n", "3", "--m", "1", "--d", "3", "--count", str(10**17)], 3),
-    (["cf", "--poly", '{"n": 100000000000000000, "terms": []}'], 3),
-    (["modulus", "--poly", '{"n": 100000000000000000, "terms": []}'], 4),
+    (["distance", "--poly", ZERO_1E17, "--poly-b", ZERO_1E17], 3),
+    (["modulus", "--poly", ZERO_1E17], 4),
+    (["cf", "--poly", ZERO_1E17], 3),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert run([*argv, "--out", str(tmp_path / "big")]) == code
