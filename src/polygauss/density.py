@@ -128,13 +128,9 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
                 raise InputError("polynomial values overflow a float at some samples")
             values[lo:hi] = block
 
-    threads = min(len(tasks), THREADS)
-    if threads <= 1:
-        for task in tasks:
-            draw(task)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, tasks))  # results in task order: job 0's error first
+    # at least one worker: a draw of constants alone has no task
+    with ThreadPoolExecutor(max_workers=max(1, min(len(tasks), THREADS))) as pool:
+        list(pool.map(draw, tasks))  # results in task order: job 0's error first
     return [SampleSet(values, seed) for values, (_, seed) in zip(outputs, jobs)]
 
 

@@ -16,38 +16,42 @@ The value functions are kept by the "slope trick" (the breakpoint DPs of
 Johnson 2013, JCGS 22(2), and Condat 2013, IEEE SPL 20(11), solve the same
 1-D fused-lasso-type dual).  V_i is stored as
 
-* two deques of (position, slope drop) breakpoints, both in increasing
-  position: ``left`` holds those left of the maximiser and ``right`` those
-  right of it;
-* one lazy x-offset per deque: after i steps a stored position q stands for
-  q - i*slope_step in ``left`` and q + i*slope_step in ``right``;
-* the slope ``s`` of the middle segment, between the near ends of the two
-  deques (or the box edges when a deque is empty).  It is 0, except when the
-  maximum sits at a box edge: then it is the slope into that edge, and the
-  deque on that side is empty;
+* two deques of (stored position, slope drop) breakpoints: ``left`` holds
+  those left of the maximiser, in the frame x, and ``right`` those right of
+  it, in the mirrored frame -x, so that both sides read alike.  Each deque
+  is increasing in its own frame: the far end, toward frame position -box,
+  first and the maximiser's end last;
+* one lazy offset shared by both deques: after i steps a breakpoint at
+  frame position y is stored as y + i*slope_step;
+* the slope ``s`` into a box edge when the maximum sits there, and 0
+  otherwise.  The deque on that side is then empty;
 * the maximum value ``top``.
 
 Each step of the chain is three operations:
 
-* **dilate**: the sliding-window maximum shifts the increasing part left and
-  the decreasing part right by slope_step, opening a plateau of width
-  2*slope_step at the maximiser.  An edge maximum (s != 0) is first pushed
-  as a breakpoint of drop |s|; then the shift is a change of the offsets.
-* **clip**: breakpoints that left [-box, box] are popped from the far ends.
-* **tilt**: adding w*x raises every slope by w, so the maximiser walks
-  across the near-end breakpoints of one deque, each moving to the other;
-  the breakpoint where the slope changes sign is split in two.  ``top`` is
-  updated on each segment crossed.
+* **dilate**: the sliding-window maximum opens a plateau of width
+  2*slope_step at the maximiser, moving every breakpoint slope_step away
+  from it: toward -box in its frame, which is a change of the offset.  An
+  edge maximum (s > 0) is first pushed, as a breakpoint of drop s at frame
+  position box, onto the deque the last tilt filled.
+* **clip**: breakpoints at frame position -box or below left the box and
+  are popped from the far ends.
+* **tilt**: adding w*x raises every slope by w, so the maximiser walks |w|
+  of slope across the near-end breakpoints of one deque (``right`` for
+  w > 0, ``left`` for w < 0), each moving to the other at the mirrored frame
+  position; the breakpoint where the slope changes sign is split in two.
+  ``top`` is updated on each segment crossed.  Negation is exact in
+  floating point, so the walk gives the same bits for w and -w.
 
 Dilate and clip cost O(1) amortised; the tilt costs one transfer per
 breakpoint crossed.  Over the 4260 LPs of the benchmark pools (dual-modulus
 probes of 1M-sample histograms at G = 400 and 2048, and KR distances) a
 solve makes a median of 0.7 transfers per cell at G = 400 and 2.3 at
-G = 2048, at most 4.6, and one solve at G = 2048 takes 1.3 to 3.4 ms
-(Python 3.11, one core).  Alternating-sign weights are the adversarial
-case: each tilt walks back across the breakpoints the previous one crossed,
-8 to 44 transfers per cell at G = 400 and 2048 with box 0.1 and 1, and the
-worst case is O(G^2).
+G = 2048, at most 4.6, and one solve at G = 2048 takes 1.4 to 4.8 ms
+(Python 3.11, one core of a shared two-core host).  Alternating-sign
+weights are the adversarial case: each tilt walks back across the
+breakpoints the previous one crossed, 8 to 44 transfers per cell at G = 400
+and 2048 with box 0.1 and 1, and the worst case is O(G^2).
 """
 
 from __future__ import annotations
@@ -74,65 +78,49 @@ def solve_chain_lp(weights, box: float, slope_step: float) -> float:
         return 0.0
     # Python floats throughout: numpy scalars would slow every step
     box, slope_step = float(box), float(slope_step)
-    left: deque = deque()   # real position = stored - off
-    right: deque = deque()  # real position = stored + off
+    left: deque = deque()   # stored = x + off
+    right: deque = deque()  # stored = -x + off
     s = 0.0
     top = 0.0
     off = 0.0
     for i, wi in enumerate(w.tolist()):
-        # dilate: push an edge maximum at the old offset, then shift
+        # dilate: push an edge maximum at the old offset onto the side the
+        # last tilt moved breakpoints to, then shift
         if s > 0.0:
-            left.append((box + off, s))
-            s = 0.0
-        elif s < 0.0:
-            right.appendleft((-box - off, -s))
+            dst.append((box + off, s))
             s = 0.0
         off = i * slope_step
-        # clip
+        # clip: frame positions at or below -box left the box
         lim = off - box
         while left and left[0][0] <= lim:
             left.popleft()
-        lim = box - off
-        while right and right[-1][0] >= lim:
-            right.pop()
-        # tilt: the maximiser walks right (wi > 0) or left (wi < 0)
+        while right and right[0][0] <= lim:
+            right.popleft()
+        # tilt: the maximiser walks a = |wi| of slope into src, moving each
+        # breakpoint it crosses to dst
         if wi > 0.0:
-            a = wi
-            x = right[0][0] + off if right else box
-            v = top + wi * x
-            while right:
-                q, d = right.popleft()
-                p = q + off
-                if a > d:
-                    left.append((p + off, d))
-                    a -= d
-                    x = right[0][0] + off if right else box
-                    v += a * (x - p)
-                    continue
-                # the slope turns at p: split its drop unless a == d
-                left.append((p + off, a))
-                if a < d:
-                    right.appendleft((q, d - a))
-                a = 0.0
-                break
-            s, top = a, v
+            src, dst, a = right, left, wi
         elif wi < 0.0:
-            a = wi
-            x = left[-1][0] - off if left else -box
-            v = top + wi * x
-            while left:
-                q, d = left.pop()
-                p = q - off
-                if -a > d:
-                    right.appendleft((p - off, d))
-                    a += d
-                    x = left[-1][0] - off if left else -box
-                    v += a * (x - p)
-                    continue
-                right.appendleft((p - off, -a))
-                if -a < d:
-                    left.append((q, d + a))
+            src, dst, a = left, right, -wi
+        else:
+            continue
+        # y is src's near end in src's frame, where the walk heads for -box
+        # and wi * x == -a * y
+        y = src[-1][0] - off if src else -box
+        v = top - a * y
+        while src:
+            q, d = src.pop()
+            if a <= d:
+                # the slope turns at y: split its drop unless a == d
+                dst.append((off - y, a))
+                if a < d:
+                    src.append((q, d - a))
                 a = 0.0
                 break
-            s, top = a, v
+            dst.append((off - y, d))
+            a -= d
+            z = src[-1][0] - off if src else -box
+            v += a * (y - z)
+            y = z
+        s, top = a, v
     return float(top)

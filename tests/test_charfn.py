@@ -226,3 +226,20 @@ def test_ecf_within_4_stderr_of_the_exact_quadratic_cf(n):
     curve = pg.ecf_modulus(pg.sample(f, 1_000_000, seed=1), pg.default_t_grid(lo=0.01))
     gap = np.abs(curve.modulus - quadratic_cf(a, b, curve.t)) / curve.stderr
     assert gap.max() <= 4.0
+
+
+@pytest.mark.parametrize("m,d,passes,slope", [
+    (2, 2, True, 0.003),
+    (1, 2, False, 0.239),
+    (1, 1, False, 0.503),
+])
+def test_decay_check_verdicts_on_the_exact_square_cf(m, d, passes, slope):
+    # |phi| of x1^2 is (1 + 4 t^2)^(-1/4), which decays as t^(-1/2): the
+    # (m, d) = (2, 2) envelope holds, and the m = 1 envelopes claim a decay
+    # that is too fast, so the ratio trends upward
+    t = pg.default_t_grid()
+    curve = pg.CfCurve(t, quadratic_cf([[1.0]], [0.0], t), np.full(t.shape, 1e-3))
+    report = pg.cf_decay_check(curve, pg.EnvelopeParams(m=m, d=d, lead=1.0))
+    assert report.verdict == passes
+    assert report.extras["ratio_slope"] == pytest.approx(slope, abs=5e-4)
+    assert (report.worst_margin > 0) == passes

@@ -46,11 +46,55 @@ def test_ties_and_degenerate_steps_match_vertex_enumeration(w, box, step):
     )
 
 
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(w=st.lists(st.integers(-3, 3), min_size=1, max_size=30), box=DYADIC, step=DYADIC)
+def test_negated_integer_weights_give_the_same_bits(w, box, step):
+    # == and not approx: the feasible set is symmetric under phi -> -phi, and
+    # both signs walk through the same float operations
+    assert solve_chain_lp([-x for x in w], box, step) == solve_chain_lp(w, box, step)
+
+
+def _alternating(size: int, rng) -> np.ndarray:
+    return np.where(np.arange(size) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 1.5, size)
+
+
+@pytest.mark.parametrize("size", [50, 400, 2048])
+def test_negated_float_weights_give_the_same_bits(size):
+    rng = np.random.default_rng(size)
+    for w in (rng.normal(size=size), _alternating(size, rng)):
+        for box in (0.01, 0.1, 1.0):
+            assert solve_chain_lp(-w, box, 1.0 / size) == solve_chain_lp(w, box, 1.0 / size)
+
+
+# float.hex() of solve_chain_lp on fixed problems, so that a kernel edit that
+# reorders float operations fails here.  Any rewrite of the kernel must keep
+# these bits: every equivalence, small-set and TV-KR output depends on them.
+LP_PINS = [
+    ("normal", 0.01, "0x1.964f094dd312bp+1"),
+    ("normal", 0.3, "0x1.821d8c2714088p+4"),
+    ("normal", 1.0, "0x1.139b719061dfbp+6"),
+    ("alternating", 0.1, "0x1.d50bbc2209d3fp-1"),
+    ("alternating", 1.0, "0x1.3a71cbef1f51cp+0"),
+    ("ties", 0.5, "0x1.6000000000000p+1"),
+]
+
+
+@pytest.mark.parametrize("kind,box,want", LP_PINS)
+def test_solver_bits_are_pinned(kind, box, want):
+    if kind == "normal":
+        w, step = np.random.default_rng(2048).normal(size=2048), 1.0 / 2048
+    elif kind == "alternating":
+        w, step = _alternating(400, np.random.default_rng(400)), 1.0 / 400
+    else:  # integer weights: splits with equal and unequal drops
+        w, step = [2, -1, -1, 2, 0, -2, 1, 1, -2, 2], 0.25
+    assert solve_chain_lp(w, box, step).hex() == want
+
+
 @pytest.mark.parametrize("size", [50, 400, 2048])
 def test_solver_matches_highs(size, x1_samples, x1sq_samples, x1x2_samples):
     rng = np.random.default_rng(size)
     step = 1.0 / size
-    alternating = np.where(np.arange(size) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 1.5, size)
+    alternating = _alternating(size, rng)
     cases = [(rng.normal(size=size), 0.3, step), (alternating, 0.1, step)]
     for s in (x1_samples, x1sq_samples, x1x2_samples):
         rho = pg.histogram_density(s, size)
