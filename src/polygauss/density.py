@@ -15,17 +15,25 @@ The stream is numpy's SFC64 generator keyed through
 ``numpy.random.SeedSequence(seed).spawn``, one substream per fixed-size
 chunk of ``SAMPLE_CHUNK`` values, with normals drawn by numpy's ziggurat
 method.  ``sample_many`` draws several laws, each a (polynomial, seed) job,
-and puts the chunks of all of them in one thread pool, so a one-law draw of
-more than one chunk, or several laws, keep every CPU busy; ``sample`` is its
-one-job case.  Results are bit-identical for any thread count and any set
-of jobs drawn together, because each job keeps its own seed, chunk
-boundaries are fixed and each chunk writes its own slice of its job's
-output.  Inside a chunk, rows are drawn and evaluated in blocks of about
-``BLOCK_BYTES`` of normals, so memory is the output plus one block per
-thread, whatever n is.  Consecutive draws from one generator continue its
-stream exactly, and each value is computed from its own row alone, so the
-block size changes no value: the stream is the one a single (chunk, active
-variables) draw would give.
+from one X (common random numbers): each active variable is drawn from the
+streams of the first job that uses it, and a later job reads the normals of
+the variables it shares.  So g = f + 0.1 x1 drawn after f costs one more
+evaluation and at most the normals of x1, not another draw, and a law
+given twice gives equal values.
+``sample`` is the one-job case, and job 0 of any draw, like any job that
+shares no variable with an earlier one, has the values ``sample`` gives it.
+The thread pool takes one task per chunk, which draws every job's rows in
+turn, so a draw of more than one chunk keeps every CPU busy.  Results are
+bit-identical for any thread count, because chunk boundaries are fixed and
+each chunk writes its own slice of each output.  Inside a chunk, rows are
+drawn and evaluated in blocks of about ``BLOCK_BYTES`` of normals over all
+jobs, so memory is the outputs plus one block per thread, whatever n is.
+Each job draws the variables it owns, those no earlier job uses, as one
+row-major (rows, owned) matrix;
+consecutive draws from one generator continue its stream exactly, and each
+value is computed from its own row alone, so the block size changes no
+value: the stream is the one a single (chunk, owned variables) draw would
+give.
 
 A ``SampleSet`` sorts its values at most once (``SampleSet.sorted``).  The
 grid's tail quantiles are read from that sort by rank, and the empirical
@@ -91,16 +99,21 @@ def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
 
 
 def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[SampleSet]:
-    """``sample(f, n_samples, seed)`` for each (f, seed) of ``jobs``, with
-    the chunks of every job drawn in one thread pool.
+    """``n_samples`` values of f(X) for each (f, seed) of ``jobs``, all laws
+    drawn from one X: each active variable takes its normals from the stream
+    of the first job that uses it, so laws drawn together share the normals
+    of the variables they have in common (common random numbers).
 
-    Each job's values are those ``sample`` gives it alone.  When jobs fail,
-    the error of the first failing job in ``jobs`` is raised.
+    Job 0 gets the values ``sample(f, n_samples, seed)`` gives it, and so
+    does any job that shares no variable with an earlier one; a job's seed
+    keys only the variables no earlier job uses.  When jobs fail, the error
+    of the first failing job in ``jobs`` is raised.
     """
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     n_chunks = (n_samples + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-    outputs, tasks = [], []
+    outputs, laws, widths = [], [], []
+    owner: dict[int, tuple[int, int]] = {}  # variable -> (law, column of its own block)
     for f, seed in jobs:
         values = np.empty(n_samples)  # first, so a size too large fails before spawning
         outputs.append(values)
@@ -108,29 +121,54 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
         if not active:  # a constant: no normals to draw
             values.fill(sum(f.terms.values(), 0.0))
             continue
+        own = [i for i in active if i not in owner]
+        owner.update({i: (len(laws), col) for col, i in enumerate(own)})
+        widths.append(len(own))
+        cols = [owner[i] for i in active]
+        first = cols[0][0]
+        if cols == [(first, c) for c in range(widths[first])]:
+            cols = first  # every column of one law's block, in order: read it whole
         f = Polynomial(len(active), {tuple(exps[i] for i in active): c
                                      for exps, c in f.terms.items()})
-        children = np.random.SeedSequence(seed).spawn(n_chunks)
-        # the floor keeps per-block Python overhead small next to the arithmetic
-        rows = max(4096, BLOCK_BYTES // (8 * f.n))
-        tasks += [(f, values, rows, child, i) for i, child in enumerate(children)]
+        children = np.random.SeedSequence(seed).spawn(n_chunks) if own else []
+        laws.append((f, values, children, cols))
+    # the floor keeps per-block Python overhead small next to the arithmetic
+    rows = max(4096, BLOCK_BYTES // (8 * max(1, sum(widths))))
 
-    def draw(task) -> None:
-        f, values, rows, child, i = task
-        gen = np.random.Generator(np.random.SFC64(child))
+    def draw(i: int) -> tuple[int, InputError | None]:
+        """Chunk i of every law: (index of the first law failing in it, its error)."""
+        gens = [np.random.Generator(np.random.SFC64(children[i])) if children else None
+                for _, _, children, _ in laws]
+        live, error = len(laws), None  # laws from a failing one on are not drawn
         end = min((i + 1) * SAMPLE_CHUNK, n_samples)
         for lo in range(i * SAMPLE_CHUNK, end, rows):
             hi = min(lo + rows, end)
-            z = gen.standard_normal((hi - lo, f.n))
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = evaluate_batch(f, z)
-            if not np.isfinite(block).all():
-                raise InputError("polynomial values overflow a float at some samples")
-            values[lo:hi] = block
+            blocks = []  # each law's own normals, a row-major (rows, width) draw
+            for k, (f, values, _, cols) in enumerate(laws[:live]):
+                blocks.append(gens[k].standard_normal((hi - lo, widths[k]))
+                              if widths[k] else None)
+                if isinstance(cols, int):
+                    z = blocks[cols]
+                else:
+                    z = np.empty((hi - lo, f.n))
+                    for c, (law, col) in enumerate(cols):
+                        z[:, c] = blocks[law][:, col]
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        block = evaluate_batch(f, z)
+                    if not np.isfinite(block).all():
+                        raise InputError("polynomial values overflow a float at some samples")
+                except InputError as e:
+                    live, error = k, e
+                    break
+                values[lo:hi] = block
+        return live, error
 
-    # at least one worker: a draw of constants alone has no task
-    with ThreadPoolExecutor(max_workers=max(1, min(len(tasks), THREADS))) as pool:
-        list(pool.map(draw, tasks))  # results in task order: job 0's error first
+    with ThreadPoolExecutor(max_workers=min(n_chunks, THREADS)) as pool:
+        failed = list(pool.map(draw, range(n_chunks)))
+    _, error = min(failed, key=lambda r: r[0])  # first failing law, then first chunk
+    if error is not None:
+        raise error
     return [SampleSet(values, seed) for values, (_, seed) in zip(outputs, jobs)]
 
 
@@ -277,6 +315,7 @@ def _chisq1_cdf(x: np.ndarray) -> np.ndarray:
 _EULER_GAMMA = 0.5772156649015329
 _GL_NODES, _GL_WEIGHTS = roots_legendre(160)
 _SERIES_CAP = 0.05
+_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(8)
 
 
 def product_normal_pdf(x: np.ndarray) -> np.ndarray:
@@ -316,21 +355,29 @@ def _product_normal_cum_small(u: np.ndarray) -> np.ndarray:
 
 
 def _product_normal_cell_mass(edges: np.ndarray) -> np.ndarray:
-    """Per-cell mass: series cumulative near the log singularity at zero,
-    Simpson on the quadrature pdf elsewhere."""
+    """Per-cell mass: series cumulative on the part of a cell within
+    ``_SERIES_CAP`` of the log singularity at zero, Gauss-Legendre on the
+    quadrature pdf beyond it.  The part beyond is cut into panels that end
+    at most twice as far from zero as they start, so a cell with an edge at
+    or near zero is split geometrically."""
     a, b = edges[:-1], edges[1:]
-    near = (np.abs(a) <= _SERIES_CAP) & (np.abs(b) <= _SERIES_CAP)
-    straddle = (a < 0) & (b > 0)
-    use_series = near | straddle
-    cum_a = np.sign(a) * _product_normal_cum_small(np.abs(a))
-    cum_b = np.sign(b) * _product_normal_cum_small(np.abs(b))
-    mass = np.where(use_series, cum_b - cum_a, 0.0)
-    rest = ~use_series
-    if rest.any():
-        fa = product_normal_pdf(a[rest])
-        fb = product_normal_pdf(b[rest])
-        fm = product_normal_pdf(0.5 * (a[rest] + b[rest]))
-        mass[rest] = (b[rest] - a[rest]) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def cum(x):
+        x = np.clip(x, -_SERIES_CAP, _SERIES_CAP)
+        return np.sign(x) * _product_normal_cum_small(np.abs(x))
+
+    mass = cum(b) - cum(a)
+    # each side's part beyond the cap, as distances [near, far] from zero;
+    # the density is even, so both sides integrate over distances
+    for near, far in ((np.maximum(a, _SERIES_CAP), b), (np.maximum(-b, _SERIES_CAP), -a)):
+        part = far > near
+        near, far = near[part], far[part]
+        panels = int(np.ceil(np.log2(far / near)).max(initial=1))
+        t = np.minimum(near[:, None] * 2.0 ** np.arange(panels + 1), far[:, None])
+        t[:, -1] = far
+        half = 0.5 * (t[:, 1:] - t[:, :-1])
+        x = (t[:, :-1] + half)[..., None] + half[..., None] * _PANEL_NODES
+        mass[part] += (half * product_normal_pdf(x).dot(_PANEL_WEIGHTS)).sum(axis=1)
     return mass
 
 

@@ -146,9 +146,9 @@ def test_distance_command_same_poly(tmp_path):
     ])
     assert code == 0
     payload = json.loads((tmp_path / "d" / "distance_report.json").read_text())
-    # same law, independent samples: distances sit at the noise floor
-    assert payload["tv"] <= 0.05
-    assert payload["kr"] <= payload["tv"] + 1e-9
+    # one law twice: g reads every normal of f, so the samples are equal
+    assert payload["tv"] == 0.0 and payload["kr"] == 0.0
+    assert payload["rate_ratio"] is None
     assert payload["verdict"] is True
 
 

@@ -51,29 +51,32 @@ def test_sample_worker_independence_across_chunks(monkeypatch):
     assert np.array_equal(*got)
 
 
-# sha256 of sample(...).values at 200k samples for verify-all members: f and
-# g = f + 0.1*x1, each drawn with the seed `verify-all --count 1 --seed s`
-# derives for it.  Any rewrite of sampling must keep the stream bit-identical.
+# sha256 of the values at 200k samples of verify-all members: f and
+# g = f + 0.1*x1, drawn together by sample_many with the seeds
+# `verify-all --count 1 --seed s` derives for them.  f's are also those of
+# sample(f) alone.  The wide members 1 and 5 lack x1, so their g draws x1
+# from its own seed; the others read every variable from f's normals.  Any
+# rewrite of sampling must keep the streams bit-identical.
 STREAM_DIGESTS = {
     ((14, 2, 3), 1): (
         "cd30e68db16ea145ab3d09febaa88c4cdba3a5959c1e8927748ae232b3bd5698",
-        "7a07cbb93a204d6e8ffd2bf89d71c6e9406e1a20b8b4bccaa6e973c759caacc4",
+        "528189c8a1a4225d1ebedd683126b1f4b3bfd84c01face0d187bdfbf1b0d4d62",
     ),
     ((14, 2, 3), 5): (
         "4088cadd65850e5f4ab91dbaa598efcc045d26f9aa57cf39f6dc828574578294",
-        "eac0059b8a5e6b46f785b5e8aeeaaa8d502e381d6b6f5d53eb2eb641afe5c68d",
+        "188e685923401a179d3e553f14addc23b8e1c16bfee7bcbf59dcc8ace033c206",
     ),
     ((14, 2, 3), 7): (
         "cf373b0cb6336f9b71c92627a7634bfa80c5541f694c43cfcf83a5abcb34fa9d",
-        "6656c6d59f47b5ce3d5a5e0769bd70ede2c82f6b607246f675f57cc9bc8c7c8f",
+        "96cd48e977a50fec96b6dd478bd7ee73e7cd609b60203ff1f9cc42993565a746",
     ),
     ((3, 1, 3), 1): (
         "c84cbd2c2f1f4dff55227016d07529373cac964d8183d4b58b5e24bb77fe1311",
-        "26c5622be184773125fcdd8958f8cf5f89d2d47e6b0be1fb8051e5c06ff81e93",
+        "6cd1c1c595842a3faa123c0c269c498cdc9e78ebbd42a1581c8dda87e32657f0",
     ),
     ((3, 1, 3), 3): (
         "3bf1a04485244582c7381cea48d9c93636a4f8773cc80547c2fe60e9d863c943",
-        "d8c8f84a7d8122e7310384c71a6056146004d9b184e3571999a79292eff1a47c",
+        "d346acc57cf4d26ec14048ab31ff57537fadd7c3cd50448b7328396ce738d46f",
     ),
 }
 # The same for TWO_CHUNKS values of the first wide member's f.
@@ -93,10 +96,9 @@ def _values_digest(s) -> str:
 
 
 def test_sample_stream_is_pinned(monkeypatch):
-    for (nmd, s), want in STREAM_DIGESTS.items():
-        draws = _member_draws(ClassParams(*nmd), s)
-        got = tuple(_values_digest(pg.sample(p, 200_000, seed)) for p, seed in draws)
-        assert got == want, (nmd, s)
+    for (nmd, s), (want, _) in STREAM_DIGESTS.items():
+        (f, seed), _ = _member_draws(ClassParams(*nmd), s)
+        assert _values_digest(pg.sample(f, 200_000, seed)) == want, (nmd, s)
     (f, seed), _ = _member_draws(ClassParams(14, 2, 3), 1)
     for threads in (1, 2):
         monkeypatch.setattr(density, "THREADS", threads)
@@ -107,17 +109,38 @@ def test_sample_stream_is_pinned(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_sample_many_keeps_the_pinned_streams(monkeypatch, threads):
     monkeypatch.setattr(density, "THREADS", threads)
-    jobs = [job for nmd, s in STREAM_DIGESTS for job in _member_draws(ClassParams(*nmd), s)]
-    got = [_values_digest(s) for s in pg.sample_many(jobs, 200_000)]
-    assert got == [digest for pair in STREAM_DIGESTS.values() for digest in pair]
-    # two chunks per law, so four tasks share the pool
+    for (nmd, s), want in STREAM_DIGESTS.items():
+        pair = pg.sample_many(_member_draws(ClassParams(*nmd), s), 200_000)
+        assert tuple(_values_digest(x) for x in pair) == want, (nmd, s)
+    # two chunks per law, each drawing both laws' blocks in turn
     (f, seed_f), (g, seed_g) = _member_draws(ClassParams(14, 2, 3), 1)
-    n = TWO_CHUNKS
-    sf, sg = pg.sample_many([(f, seed_f), (g, seed_g)], n)
+    sf, sg = pg.sample_many([(f, seed_f), (g, seed_g)], TWO_CHUNKS)
     assert _values_digest(sf) == TWO_CHUNK_DIGEST
-    monkeypatch.setattr(density, "THREADS", 1)
-    assert np.array_equal(sg.values, pg.sample(g, n, seed_g).values)
     assert (sf.seed, sg.seed) == (seed_f, seed_g)
+    monkeypatch.setattr(density, "THREADS", 1)
+    _, sg_one = pg.sample_many([(f, seed_f), (g, seed_g)], TWO_CHUNKS)
+    assert np.array_equal(sg.values, sg_one.values)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_many_couples_shared_variables(monkeypatch, threads):
+    monkeypatch.setattr(density, "THREADS", threads)
+    f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25, (0, 0, 0): 2.0})
+    n = TWO_CHUNKS
+    alone = pg.sample(f, n, seed=4).values
+    # a twin with another seed reads every normal from job 0
+    s0, twin = pg.sample_many([(f, 4), (f, 5)], n)
+    assert np.array_equal(s0.values, alone) and np.array_equal(twin.values, alone)
+    # a job on variables no earlier job uses is its lone draw
+    disjoint = _pad(f, 6, (3, 4, 5))
+    _, apart = pg.sample_many([(f, 4), (disjoint, 7)], n)
+    assert np.array_equal(apart.values, pg.sample(disjoint, n, seed=7).values)
+    # g = f + h shares its variables with f or h, whichever is drawn first
+    for h in (scale(variable(3, 1), 0.1), scale(variable(6, 5), 0.1)):
+        g = add(_pad(f, h.n, (0, 1, 2)), h)
+        sf, sg, sh = pg.sample_many([(f, 4), (g, 5), (h, 6)], n)
+        assert np.array_equal(sf.values, alone)
+        np.testing.assert_allclose(sg.values, sf.values + sh.values, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -135,6 +158,17 @@ def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
     monkeypatch.setattr(density, "evaluate_batch", fail_by_dimension)
     with pytest.raises(InputError, match="n=1"):
         pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], 1000)
+
+    def fail_late_or_at_once(f, z):
+        # job 0 fails only in the short last block, which only chunk 1 has
+        if f.n == 2 or z.shape[0] < 4096:
+            raise InputError(f"job with n={f.n} failed")
+        return np.zeros(z.shape[0])
+
+    monkeypatch.setattr(density, "BLOCK_BYTES", 1)  # 4096-row blocks
+    monkeypatch.setattr(density, "evaluate_batch", fail_late_or_at_once)
+    with pytest.raises(InputError, match="n=1"):
+        pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], TWO_CHUNKS)
 
 
 def test_sample_values_do_not_depend_on_block_size(monkeypatch):
@@ -378,6 +412,16 @@ def test_oracle_product_matches_histogram(x1x2_samples):
     idx = int((1.0 - o.lo) / o.step)
     assert abs(h.values[idx] - o.values[idx]) <= 0.01
     assert h.step * np.abs(h.values - o.values).sum() <= 0.02
+
+
+@pytest.mark.parametrize("size", [16, 32, 64, 128])
+def test_oracle_product_coarse_grids_sum_the_fine_one(product_oracle, size):
+    # an edge at 0 in a cell far wider than the series range; each coarse
+    # cell holds the mass of the fine cells it covers
+    coarse = pg.oracle_density("product_normal", -9.0, 9.0, size)
+    fine = product_oracle.values.reshape(size, -1).sum(axis=1) * product_oracle.step
+    assert np.abs(coarse.values * coarse.step - fine).max() <= 1e-8
+    assert coarse.mass == pytest.approx(product_oracle.mass, abs=1e-12)
 
 
 def test_oracle_unknown_kind():

@@ -33,8 +33,11 @@ MODULUS_POLYS = {
     "x1^2": {"n": 1, "terms": [{"exp": [2], "coef": 1.0}]},
     "x1*x2": {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}]},
 }
-# The second law of the distance run: x1*x2 + 0.2*x1.
+# The second laws of the distance runs: x1*x2 + 0.2*x1, which reads every
+# normal of f, and x1*x2 + 0.2*x3, which draws x3 from its own seed.
 X1X2_PLUS = {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}, {"exp": [1, 0], "coef": 0.2}]}
+X1X2_PLUS_X3 = {"n": 3, "terms": [{"exp": [1, 1, 0], "coef": 1.0},
+                                  {"exp": [0, 0, 1], "coef": 0.2}]}
 # Sums of independent pieces (a*x1*x2 plus a square or a linear term on
 # other variables), the cf inputs of the benchmark's indices 1-3; the sample
 # seed is the index.
@@ -94,6 +97,14 @@ def invocations() -> list[tuple[str, list[str]]]:
     runs.append(("distance x1*x2 vs x1*x2+0.2*x1", [
         "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1000000",
+        "--grid", "400", "--seed", "9"]))
+    runs.append(("distance x1*x2 vs itself", [
+        "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--poly-b", json.dumps(MODULUS_POLYS["x1*x2"]), "--samples", "1000000",
+        "--grid", "400", "--seed", "9"]))
+    runs.append(("distance x1*x2 vs x1*x2+0.2*x3", [
+        "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
+        "--poly-b", json.dumps(X1X2_PLUS_X3), "--samples", "1000000",
         "--grid", "400", "--seed", "9"]))
     # Three members in one run, so each member's joint draw of f and g
     # follows the checks of the one before.
