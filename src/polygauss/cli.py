@@ -29,6 +29,7 @@ from .charfn import cf_decay_check, decay_exponents, default_t_grid, ecf_modulus
 from .density import (
     GriddedDensity,
     SampleSet,
+    add_samples,
     ecdf,
     histogram_density,
     quantile_grid,
@@ -54,7 +55,7 @@ from .moments import variance, variance_via_hermite
 from .poly import (
     ClassParams,
     Polynomial,
-    add,
+    active_variables,
     degree,
     from_json_dict,
     leading_magnitude,
@@ -78,7 +79,10 @@ EXIT_RESOLUTION = 4
 MC_SLOPE_RANGE = (-0.6, 1.0)
 
 CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's samples
-PERTURBATION = 0.1  # verify-all's distance check compares f with f + PERTURBATION * x1
+# verify-all's distance check compares f with g = f + PERTURBATION * x1, the
+# sum of the draws of f and PERTURBATION * x1: one add, not a second
+# evaluation of f (``distance`` still evaluates its ``polynomial_b``)
+PERTURBATION = 0.1
 
 
 # Every config field: its default, accepted JSON types, smallest value (None:
@@ -238,13 +242,17 @@ class _Run:
 
 def _sample(run: _Run, cfg: dict, jobs: list[tuple[Polynomial, int]]) -> list[SampleSet]:
     """The samples of each (polynomial, seed) job, drawn at once; the
-    ``sample`` stage is the wall time of the joint draw."""
+    ``sample`` stage is the wall time of the joint draw.  ``samples_drawn``
+    counts the values returned, ``normals_drawn`` the normals drawn for them:
+    one per sample and variable some job uses."""
     with run.stage("sample"):
         if len(jobs) == 1:  # through ``sample``, which perfbench's tracer wraps
             out = [sample(jobs[0][0], cfg["samples"], jobs[0][1])]
         else:
             out = sample_many(jobs, cfg["samples"])
     run.count("samples_drawn", sum(s.count for s in out))
+    used = set().union(*(active_variables(f) for f, _ in jobs))
+    run.count("normals_drawn", cfg["samples"] * len(used))
     return out
 
 
@@ -447,8 +455,11 @@ def cmd_verify_all(cfg: dict) -> int:
     for k in range(count):
         with run.stage("draw"):
             f = random_in_class(params, int(seeds[3 * k]))
-        g = add(f, scale(variable(params.n, 1), PERTURBATION))
-        s, sg = _sample(run, cfg, [(f, int(seeds[3 * k + 1])), (g, int(seeds[3 * k + 2]))])
+        x1 = scale(variable(params.n, 1), PERTURBATION)
+        s, sd = _sample(run, cfg, [(f, int(seeds[3 * k + 1])), (x1, int(seeds[3 * k + 2]))])
+        with run.stage("sample"):
+            sg = add_samples(s, sd)
+        del sd  # before the histograms, so peak memory holds two laws, not three
         with run.stage("histogram"):
             rho = histogram_density(s, cfg["grid"])
         env_params = _envelope_params(f)

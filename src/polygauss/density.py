@@ -17,9 +17,10 @@ chunk of ``SAMPLE_CHUNK`` values, with normals drawn by numpy's ziggurat
 method.  ``sample_many`` draws several laws, each a (polynomial, seed) job,
 from one X (common random numbers): each active variable is drawn from the
 streams of the first job that uses it, and a later job reads the normals of
-the variables it shares.  So g = f + 0.1 x1 drawn after f costs one more
-evaluation and at most the normals of x1, not another draw, and a law
-given twice gives equal values.
+the variables it shares, so a law given twice gives equal values.
+verify-all draws f and 0.1 x1 and sums them (``add_samples``), so its
+g = f + 0.1 x1 costs one add and at most the normals of x1; ``distance``
+still evaluates its ``polynomial_b``.
 ``sample`` is the one-job case, and job 0 of any draw, like any job that
 shares no variable with an earlier one, has the values ``sample`` gives it.
 The thread pool takes one task per chunk, which draws every job's rows in
@@ -54,13 +55,14 @@ import numpy as np
 from scipy.special import ndtr, roots_legendre
 
 from .errors import InputError, ResolutionError
-from .poly import Polynomial, evaluate_batch
+from .poly import Polynomial, active_variables, evaluate_batch
 
 SAMPLE_CHUNK = 1 << 18
 BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 4096 rows
 # most chunks drawn at once: the CPUs this process may run on
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
+HIST_BLOCK = 1 << 15  # values binned at a time, so the bin buffers stay in cache
 MASS_TOL = 1e-3
 TAIL_QUANTILE = 1e-4
 
@@ -117,7 +119,7 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
     for f, seed in jobs:
         values = np.empty(n_samples)  # first, so a size too large fails before spawning
         outputs.append(values)
-        active = sorted({i for exps in f.terms for i, e in enumerate(exps) if e})
+        active = active_variables(f)
         if not active:  # a constant: no normals to draw
             values.fill(sum(f.terms.values(), 0.0))
             continue
@@ -155,9 +157,7 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
                         z[:, c] = blocks[law][:, col]
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        block = evaluate_batch(f, z)
-                    if not np.isfinite(block).all():
-                        raise InputError("polynomial values overflow a float at some samples")
+                        block = _finite(evaluate_batch(f, z))
                 except InputError as e:
                     live, error = k, e
                     break
@@ -170,6 +170,26 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
     if error is not None:
         raise error
     return [SampleSet(values, seed) for values, (_, seed) in zip(outputs, jobs)]
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InputError("polynomial values overflow a float at some samples")
+    return values
+
+
+def add_samples(a: SampleSet, b: SampleSet) -> SampleSet:
+    """The samples of f + h, with h's seed, from the samples ``a`` of f and
+    ``b`` of h that one ``sample_many`` call drew (so on one X).
+
+    When h is one term f lacks, the values are bit for bit those of drawing
+    ``add(f, h)`` after f in that call: ``evaluate_batch`` sums f's terms
+    in order and then h's, starting from zero.  Otherwise they differ from
+    it by rounding only.  A sum that overflows raises the ``InputError``
+    ``sample_many`` raises for the values of f + h.
+    """
+    with np.errstate(over="ignore"):
+        return SampleSet(_finite(a.values + b.values), b.seed)
 
 
 @dataclass(frozen=True)
@@ -257,21 +277,31 @@ def quantile_grid(sets: Sequence[SampleSet], size: int) -> tuple[float, float]:
 def _half_counts(
     values: np.ndarray, lo: float, step: float, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cell counts of the two halves of ``values``, binned in one pass; their
-    sum is the count of the whole sample (integers, so exact in float64).
-    Cell indices are shifted by one and clipped to [0, size + 1] before the
-    cast, so a value any distance off the grid lands in an end bin, which is
-    dropped, and never in an integer the cast cannot hold."""
-    idx = values - lo
-    idx /= step
-    np.floor(idx, out=idx)
-    idx += 1.0
-    idx = np.clip(idx, 0.0, size + 1.0, out=idx).astype(np.int64)
+    """Cell counts of the two halves of ``values``; their sum is the count
+    of the whole sample (integers, so exact in float64).  Cell indices are
+    shifted by one and clipped to [0, size + 1] before the cast, so a value
+    any distance off the grid lands in an end bin, which is dropped, and
+    never in an integer the cast cannot hold.  Values are binned
+    ``HIST_BLOCK`` at a time through one float and one int buffer, so no
+    temporary grows with the sample."""
+    buf = np.empty(min(HIST_BLOCK, values.shape[0]))
+    idx = np.empty(buf.shape[0], dtype=np.int64)
     half = values.shape[0] // 2
-    return tuple(
-        np.bincount(part, minlength=size + 2)[1:-1].astype(np.float64)
-        for part in (idx[:half], idx[half:])
-    )
+    out = []
+    for part in (values[:half], values[half:]):
+        counts = np.zeros(size + 2, dtype=np.int64)
+        for start in range(0, part.shape[0], HIST_BLOCK):
+            block = part[start:start + HIST_BLOCK]
+            x, k = buf[:block.shape[0]], idx[:block.shape[0]]
+            np.subtract(block, lo, out=x)
+            x /= step
+            np.floor(x, out=x)
+            x += 1.0
+            np.clip(x, 0.0, size + 1.0, out=x)
+            k[:] = x
+            counts += np.bincount(k, minlength=size + 2)
+        out.append(counts[1:-1].astype(np.float64))
+    return tuple(out)
 
 
 def histogram_density(

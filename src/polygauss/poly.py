@@ -137,6 +137,12 @@ def leading_magnitude(f: Polynomial) -> tuple[float, MultiIndex]:
     return best
 
 
+def active_variables(f: Polynomial) -> list[int]:
+    """Positions (0-based, in the exponent tuples) of the variables some term
+    uses, ascending; a constant has none."""
+    return sorted({i for exps in f.terms for i, e in enumerate(exps) if e})
+
+
 def max_var_power(f: Polynomial) -> int:
     """Largest power to which any single variable enters."""
     if f.is_zero:

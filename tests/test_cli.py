@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import polygauss as pg
 from polygauss.cli import COMMANDS, FIELDS, _build_parser, main
 from polygauss.errors import InputError, ResolutionError
-from polygauss.poly import dumps, monomial, scale
+from polygauss.poly import dumps, monomial, scale, variable
 
 X1X2 = dumps(monomial(2, (1, 1)))
 X1SQ = dumps(monomial(1, (2,)))
@@ -178,8 +178,9 @@ def test_verify_all_small_family(tmp_path):
     assert all(t >= 0.0 for t in timings.values())
     stages = sum(t for name, t in timings.items() if name != "total")
     assert stages <= timings["total"]
-    # two members, each drawing f and its perturbation g
-    assert manifest["counters"] == {"samples_drawn": 2 * 2 * 150_000}
+    # two members, each drawing f and 0.1 x1, on the normals of x1 and x2
+    assert manifest["counters"] == {"samples_drawn": 2 * 2 * 150_000,
+                                    "normals_drawn": 2 * 2 * 150_000}
 
 
 def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
@@ -198,9 +199,10 @@ def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sample", no_single_draw)
     cfg = small_family_cfg(tmp_path, "va")
     assert run(["verify-all", "--config", str(cfg)]) == 0
-    # per member one joint draw: f (shared by every check) and its perturbation g
+    # per member one joint draw: f (shared by every check) and 0.1 x1, whose
+    # sum with f is the perturbed law g
     assert len(drawn) == 2
-    assert all(len(laws) == 2 and laws[0] != laws[1] for laws in drawn)
+    assert all(laws[1:] == [scale(variable(2, 1), 0.1)] for laws in drawn)
 
 
 def test_verify_all_reads_order_statistics_from_one_sort(tmp_path, monkeypatch):
@@ -245,7 +247,7 @@ def test_manifest_references_all_outputs(tmp_path):
     assert set(manifest["files"]) == on_disk
     assert "config_hash" in manifest
     assert set(manifest["timings"]) == {"sample", "histogram", "checks", "total"}
-    assert manifest["counters"] == {"samples_drawn": 200_000}
+    assert manifest["counters"] == {"samples_drawn": 200_000, "normals_drawn": 2 * 200_000}
 
 
 def test_input_errors_exit_3(tmp_path):

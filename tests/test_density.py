@@ -56,7 +56,10 @@ def test_sample_worker_independence_across_chunks(monkeypatch):
 # `verify-all --count 1 --seed s` derives for them.  f's are also those of
 # sample(f) alone.  The wide members 1 and 5 lack x1, so their g draws x1
 # from its own seed; the others read every variable from f's normals.  Any
-# rewrite of sampling must keep the streams bit-identical.
+# rewrite of sampling must keep the streams bit-identical.  verify-all's g
+# costs one add (add_samples of the draws of f and 0.1*x1), which gives
+# these g digests whenever f has no x1-linear term; `distance` still
+# evaluates its polynomial_b as drawn here.
 STREAM_DIGESTS = {
     ((14, 2, 3), 1): (
         "cd30e68db16ea145ab3d09febaa88c4cdba3a5959c1e8927748ae232b3bd5698",
@@ -169,6 +172,33 @@ def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
     monkeypatch.setattr(density, "evaluate_batch", fail_late_or_at_once)
     with pytest.raises(InputError, match="n=1"):
         pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], TWO_CHUNKS)
+
+
+def test_add_samples_gives_the_pinned_g():
+    for (nmd, s), (want_f, want_g) in STREAM_DIGESTS.items():
+        params = ClassParams(*nmd)
+        (f, seed_f), (g, seed_g) = _member_draws(params, s)
+        x1 = scale(variable(params.n, 1), 0.1)
+        sf, sd = pg.sample_many([(f, seed_f), (x1, seed_g)], 200_000)
+        sg = density.add_samples(sf, sd)
+        assert _values_digest(sf) == want_f and sg.seed == seed_g, (nmd, s)
+        if nmd == (14, 2, 3):  # no x1-linear term in f: the same sums in the same order
+            assert next(iter(x1.terms)) not in f.terms
+            assert _values_digest(sg) == want_g, (nmd, s)
+        else:  # f's x1 term and 0.1 x1 are one term of g: they round apart
+            assert next(iter(x1.terms)) in f.terms
+            _, drawn = pg.sample_many([(f, seed_f), (g, seed_g)], 200_000)
+            np.testing.assert_allclose(sg.values, drawn.values, rtol=0.0, atol=1e-12)
+
+
+def test_add_samples_raises_the_overflow_error_of_a_draw():
+    with pytest.raises(InputError) as drawn:
+        pg.sample(Polynomial(1, {(200,): 1e300}), 1000, seed=1)
+    f = pg.SampleSet(np.array([0.5, np.finfo(np.float64).max]), 1)
+    h = pg.SampleSet(np.array([0.1, 1e300]), 2)  # over half an ulp of the largest float
+    with pytest.raises(InputError) as summed:
+        density.add_samples(f, h)
+    assert str(summed.value) == str(drawn.value)
 
 
 def test_sample_values_do_not_depend_on_block_size(monkeypatch):
@@ -391,6 +421,23 @@ def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled
     assert rho.l1_noise == noise
     if pooled:
         assert rho.clipped_mass > 0.0  # the pooled grid cuts off part of s
+
+
+@pytest.mark.parametrize("block", [1000, density.HIST_BLOCK])
+def test_half_counts_in_blocks_match_the_whole_array(monkeypatch, block):
+    monkeypatch.setattr(density, "HIST_BLOCK", block)
+    lo, step, size = -1.0, 0.25, 16
+    rng = np.random.default_rng(3)
+    edges = lo + step * np.arange(-1, size + 2)  # every cell edge, and one cell past each end
+    values = rng.permutation(np.concatenate(
+        [rng.normal(0.0, 2.0, 100_000), edges, [1e300, -1e300]]))
+    assert values.shape[0] % 2 == 1
+    idx = np.clip(np.floor((values - lo) / step) + 1.0, 0.0, size + 1.0).astype(np.int64)
+    half = values.shape[0] // 2
+    got = density._half_counts(values, lo, step, size)
+    for part, counts in zip((idx[:half], idx[half:]), got):
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, np.bincount(part, minlength=size + 2)[1:-1])
 
 
 def test_oracle_normal_point_value():
