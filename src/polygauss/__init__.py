@@ -43,7 +43,6 @@ from .density import (
     SampleSet,
     ecdf,
     histogram_density,
-    oracle_density,
     quantile_grid,
     sample,
     sample_many,

@@ -5,7 +5,10 @@ a uniform grid of cells ``[lo + i*step, lo + (i+1)*step)`` whose values are
 cell-averaged density (nonnegative, with ``step * sum(values)`` equal to the
 covered probability mass, at least ``1 - 1e-3``).  Cell averaging, rather
 than point sampling, keeps the mass identity exact even for densities with
-integrable singularities (e.g. the chi-square(1) blow-up at zero).
+integrable singularities (e.g. the chi-square(1) blow-up at zero).  The
+closed-form densities the estimates are checked against (of X1, X1^2 and
+X1 X2) are test oracles and live in ``tests/oracles.py``, so this module,
+like the whole package, needs numpy only.
 
 Sampling is deterministic and reproducible.  f(X) has the same law as f
 restricted to its active variables, the ones some term uses, evaluated at
@@ -17,10 +20,12 @@ chunk of ``SAMPLE_CHUNK`` values, with normals drawn by numpy's ziggurat
 method.  ``sample_many`` draws several laws, each a (polynomial, seed) job,
 from one X (common random numbers): each active variable is drawn from the
 streams of the first job that uses it, and a later job reads the normals of
-the variables it shares, so a law given twice gives equal values.
-verify-all draws f and 0.1 x1 and sums them (``add_samples``), so its
-g = f + 0.1 x1 costs one add and at most the normals of x1; ``distance``
-still evaluates its ``polynomial_b``.
+the variables it shares, so a law given twice gives equal values.  A job
+whose variables all sit in one law's block reads them with one index (a
+view when the columns are adjacent) rather than gathering them column by
+column.  verify-all draws f and 0.1 x1 and sums them (``add_samples``), so
+its g = f + 0.1 x1 costs one multiply, one add and at most the normals of
+x1; ``distance`` still evaluates its ``polynomial_b``.
 ``sample`` is the one-job case, and job 0 of any draw, like any job that
 shares no variable with an earlier one, has the values ``sample`` gives it.
 The thread pool takes one task per chunk, which draws every job's rows in
@@ -52,7 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
 
 from .errors import InputError, ResolutionError
 from .poly import Polynomial, active_variables, evaluate_batch
@@ -127,9 +131,10 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
         owner.update({i: (len(laws), col) for col, i in enumerate(own)})
         widths.append(len(own))
         cols = [owner[i] for i in active]
-        first = cols[0][0]
-        if cols == [(first, c) for c in range(widths[first])]:
-            cols = first  # every column of one law's block, in order: read it whole
+        if len({law for law, _ in cols}) == 1:  # one law's block: one index, no gather
+            idx = [c for _, c in cols]
+            run = idx == list(range(idx[0], idx[-1] + 1))  # adjacent: a slice, a view
+            cols = (cols[0][0], slice(idx[0], idx[-1] + 1) if run else idx)
         f = Polynomial(len(active), {tuple(exps[i] for i in active): c
                                      for exps, c in f.terms.items()})
         children = np.random.SeedSequence(seed).spawn(n_chunks) if own else []
@@ -145,12 +150,14 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
         end = min((i + 1) * SAMPLE_CHUNK, n_samples)
         for lo in range(i * SAMPLE_CHUNK, end, rows):
             hi = min(lo + rows, end)
-            blocks = []  # each law's own normals, a row-major (rows, width) draw
+            # each law's own normals, a row-major (rows, width) draw; z may view
+            # the last block's, so drop both before drawing the next
+            blocks, z = [], None
             for k, (f, values, _, cols) in enumerate(laws[:live]):
                 blocks.append(gens[k].standard_normal((hi - lo, widths[k]))
                               if widths[k] else None)
-                if isinstance(cols, int):
-                    z = blocks[cols]
+                if isinstance(cols, tuple):
+                    z = blocks[cols[0]][:, cols[1]]
                 else:
                     z = np.empty((hi - lo, f.n))
                     for c, (law, col) in enumerate(cols):
@@ -195,7 +202,7 @@ def add_samples(a: SampleSet, b: SampleSet) -> SampleSet:
 @dataclass(frozen=True)
 class GriddedDensity:
     """Cell-averaged density on a uniform grid, from ``histogram_density`` or
-    ``oracle_density``.
+    a closed form (the tests' ``oracles.oracle_density``).
 
     clipped_mass: probability mass outside the grid (tail truncation).
     l1_noise:     Monte Carlo L1 noise estimate from seed-split halves
@@ -327,124 +334,6 @@ def histogram_density(
     noise = 0.5 * step * float(np.abs(h1 - h2).sum())
     return GriddedDensity(
         glo, step, counts / (n * step), clipped_mass=float(clipped), l1_noise=noise
-    )
-
-
-# --- Closed-form reference densities ---------------------------------------
-
-
-def _normal_cell_mass(edges: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    return np.diff(ndtr((edges - mu) / sigma))
-
-
-def _chisq1_cdf(x: np.ndarray) -> np.ndarray:
-    x = np.maximum(x, 0.0)
-    return 2.0 * ndtr(np.sqrt(x)) - 1.0
-
-
-_EULER_GAMMA = 0.5772156649015329
-_GL_NODES, _GL_WEIGHTS = roots_legendre(160)
-_SERIES_CAP = 0.05
-_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(8)
-
-
-def product_normal_pdf(x: np.ndarray) -> np.ndarray:
-    """Density of X1*X2 for independent standard normals, by quadrature.
-
-    Uses rho(x) = (1/pi) * integral over u of exp(-(e^{2u} + x^2 e^{-2u})/2),
-    the defining convolution integral after substituting u for the log of the
-    integration variable; the integrand is exp(-|x| cosh(2u)) centered at
-    u = log(sqrt|x|), evaluated with Gauss-Legendre nodes wide enough that
-    the tail weight is below 1e-17.  Diverges logarithmically at x = 0.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    ax = np.abs(x)
-    out = np.full(ax.shape, np.inf)
-    pos = ax > 0.0
-    if pos.any():
-        a = ax[pos]
-        u_half = 0.5 * np.arccosh(np.maximum(44.0 / a, 1.0 + 1e-12))
-        u = u_half[:, None] * _GL_NODES[None, :]
-        vals = np.exp(-a[:, None] * np.cosh(2.0 * u)).dot(_GL_WEIGHTS)
-        out[pos] = u_half * vals / np.pi
-    return out
-
-
-def _product_normal_cum_small(u: np.ndarray) -> np.ndarray:
-    """integral_0^u of the product-normal density by series, u <= ~0.05."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    pos = u > 0
-    up = u[pos]
-    lg = np.log(2.0 / up)
-    out[pos] = (
-        up * (lg + 1.0 - _EULER_GAMMA)
-        + up ** 3 / 12.0 * (lg + 4.0 / 3.0 - _EULER_GAMMA)
-    ) / np.pi
-    return out
-
-
-def _product_normal_cell_mass(edges: np.ndarray) -> np.ndarray:
-    """Per-cell mass: series cumulative on the part of a cell within
-    ``_SERIES_CAP`` of the log singularity at zero, Gauss-Legendre on the
-    quadrature pdf beyond it.  The part beyond is cut into panels that end
-    at most twice as far from zero as they start, so a cell with an edge at
-    or near zero is split geometrically."""
-    a, b = edges[:-1], edges[1:]
-
-    def cum(x):
-        x = np.clip(x, -_SERIES_CAP, _SERIES_CAP)
-        return np.sign(x) * _product_normal_cum_small(np.abs(x))
-
-    mass = cum(b) - cum(a)
-    # each side's part beyond the cap, as distances [near, far] from zero;
-    # the density is even, so both sides integrate over distances
-    for near, far in ((np.maximum(a, _SERIES_CAP), b), (np.maximum(-b, _SERIES_CAP), -a)):
-        part = far > near
-        near, far = near[part], far[part]
-        panels = int(np.ceil(np.log2(far / near)).max(initial=1))
-        t = np.minimum(near[:, None] * 2.0 ** np.arange(panels + 1), far[:, None])
-        t[:, -1] = far
-        half = 0.5 * (t[:, 1:] - t[:, :-1])
-        x = (t[:, :-1] + half)[..., None] + half[..., None] * _PANEL_NODES
-        mass[part] += (half * product_normal_pdf(x).dot(_PANEL_WEIGHTS)).sum(axis=1)
-    return mass
-
-
-def oracle_density(
-    kind: str,
-    lo: float,
-    hi: float,
-    size: int,
-    mu: float = 0.0,
-    sigma: float = 1.0,
-) -> GriddedDensity:
-    """Cell-averaged closed-form density on an explicit grid.
-
-    kinds: "normal" (params mu, sigma), "chisq1" (the law of X^2), and
-    "product_normal" (the law of X1*X2).  The grid must cover all but at
-    most 1e-3 of the mass.
-    """
-    if size < 2:
-        raise InputError(f"need at least 2 cells, got {size}")
-    if not hi > lo:
-        raise InputError(f"empty range [{lo}, {hi}]")
-    edges = lo + (hi - lo) * np.arange(size + 1) / size
-    step = (hi - lo) / size
-    if kind == "normal":
-        if sigma <= 0:
-            raise InputError(f"sigma must be positive, got {sigma}")
-        mass = _normal_cell_mass(edges, mu, sigma)
-    elif kind == "chisq1":
-        mass = np.diff(_chisq1_cdf(edges))
-    elif kind == "product_normal":
-        mass = _product_normal_cell_mass(edges)
-    else:
-        raise InputError(f"unknown density kind {kind!r}")
-    covered = float(mass.sum())
-    return GriddedDensity(
-        float(lo), float(step), np.maximum(mass, 0.0) / step,
-        clipped_mass=max(0.0, 1.0 - covered),
     )
 
 

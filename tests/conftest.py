@@ -2,6 +2,8 @@ import pytest
 
 import polygauss as pg
 
+from oracles import oracle_density
+
 N = 10**6
 
 
@@ -22,14 +24,14 @@ def x1x2_samples():
 
 @pytest.fixture(scope="session")
 def normal_oracle():
-    return pg.oracle_density("normal", -4.0, 4.0, 2048)
+    return oracle_density("normal", -4.0, 4.0, 2048)
 
 
 @pytest.fixture(scope="session")
 def chisq_oracle():
-    return pg.oracle_density("chisq1", 0.0, 16.0, 2048)
+    return oracle_density("chisq1", 0.0, 16.0, 2048)
 
 
 @pytest.fixture(scope="session")
 def product_oracle():
-    return pg.oracle_density("product_normal", -9.0, 9.0, 2048)
+    return oracle_density("product_normal", -9.0, 9.0, 2048)

@@ -18,6 +18,11 @@ checks.
 * ``class_exponents`` lists a class's admissible exponent tuples by walking
   all (m + 1)^n of them (``random_in_class``'s unranking must index them
   the same way).
+* ``oracle_density`` is the cell-averaged closed-form density of X1, X1^2
+  or X1*X2 (``histogram_density`` must approach it), and
+  ``product_normal_pdf`` is the density of X1*X2 by quadrature.  They use
+  scipy's ``ndtr`` and ``roots_legendre`` and live here, not in the
+  package, so that no command pays for importing scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.special import ndtr, roots_legendre
 
-from polygauss.density import SampleSet
+from polygauss.density import GriddedDensity, SampleSet
 from polygauss.errors import InputError
 from polygauss.moments import HermiteExpansion
 from polygauss.poly import ClassParams, Polynomial
@@ -209,3 +215,121 @@ def class_exponents(params: ClassParams) -> list[tuple[int, ...]]:
         for exps in itertools.product(range(params.m + 1), repeat=params.n)
         if 0 < sum(exps) <= params.d
     ]
+
+
+# --- Closed-form reference densities ---------------------------------------
+
+
+def _normal_cell_mass(edges: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    return np.diff(ndtr((edges - mu) / sigma))
+
+
+def _chisq1_cdf(x: np.ndarray) -> np.ndarray:
+    x = np.maximum(x, 0.0)
+    return 2.0 * ndtr(np.sqrt(x)) - 1.0
+
+
+_EULER_GAMMA = 0.5772156649015329
+_GL_NODES, _GL_WEIGHTS = roots_legendre(160)
+_SERIES_CAP = 0.05
+_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(8)
+
+
+def product_normal_pdf(x: np.ndarray) -> np.ndarray:
+    """Density of X1*X2 for independent standard normals, by quadrature.
+
+    Uses rho(x) = (1/pi) * integral over u of exp(-(e^{2u} + x^2 e^{-2u})/2),
+    the defining convolution integral after substituting u for the log of the
+    integration variable; the integrand is exp(-|x| cosh(2u)) centered at
+    u = log(sqrt|x|), evaluated with Gauss-Legendre nodes wide enough that
+    the tail weight is below 1e-17.  Diverges logarithmically at x = 0.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    ax = np.abs(x)
+    out = np.full(ax.shape, np.inf)
+    pos = ax > 0.0
+    if pos.any():
+        a = ax[pos]
+        u_half = 0.5 * np.arccosh(np.maximum(44.0 / a, 1.0 + 1e-12))
+        u = u_half[:, None] * _GL_NODES[None, :]
+        vals = np.exp(-a[:, None] * np.cosh(2.0 * u)).dot(_GL_WEIGHTS)
+        out[pos] = u_half * vals / np.pi
+    return out
+
+
+def _product_normal_cum_small(u: np.ndarray) -> np.ndarray:
+    """integral_0^u of the product-normal density by series, u <= ~0.05."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(u)
+    pos = u > 0
+    up = u[pos]
+    lg = np.log(2.0 / up)
+    out[pos] = (
+        up * (lg + 1.0 - _EULER_GAMMA)
+        + up ** 3 / 12.0 * (lg + 4.0 / 3.0 - _EULER_GAMMA)
+    ) / np.pi
+    return out
+
+
+def _product_normal_cell_mass(edges: np.ndarray) -> np.ndarray:
+    """Per-cell mass: series cumulative on the part of a cell within
+    ``_SERIES_CAP`` of the log singularity at zero, Gauss-Legendre on the
+    quadrature pdf beyond it.  The part beyond is cut into panels that end
+    at most twice as far from zero as they start, so a cell with an edge at
+    or near zero is split geometrically."""
+    a, b = edges[:-1], edges[1:]
+
+    def cum(x):
+        x = np.clip(x, -_SERIES_CAP, _SERIES_CAP)
+        return np.sign(x) * _product_normal_cum_small(np.abs(x))
+
+    mass = cum(b) - cum(a)
+    # each side's part beyond the cap, as distances [near, far] from zero;
+    # the density is even, so both sides integrate over distances
+    for near, far in ((np.maximum(a, _SERIES_CAP), b), (np.maximum(-b, _SERIES_CAP), -a)):
+        part = far > near
+        near, far = near[part], far[part]
+        panels = int(np.ceil(np.log2(far / near)).max(initial=1))
+        t = np.minimum(near[:, None] * 2.0 ** np.arange(panels + 1), far[:, None])
+        t[:, -1] = far
+        half = 0.5 * (t[:, 1:] - t[:, :-1])
+        x = (t[:, :-1] + half)[..., None] + half[..., None] * _PANEL_NODES
+        mass[part] += (half * product_normal_pdf(x).dot(_PANEL_WEIGHTS)).sum(axis=1)
+    return mass
+
+
+def oracle_density(
+    kind: str,
+    lo: float,
+    hi: float,
+    size: int,
+    mu: float = 0.0,
+    sigma: float = 1.0,
+) -> GriddedDensity:
+    """Cell-averaged closed-form density on an explicit grid.
+
+    kinds: "normal" (params mu, sigma), "chisq1" (the law of X^2), and
+    "product_normal" (the law of X1*X2).  The grid must cover all but at
+    most 1e-3 of the mass.
+    """
+    if size < 2:
+        raise InputError(f"need at least 2 cells, got {size}")
+    if not hi > lo:
+        raise InputError(f"empty range [{lo}, {hi}]")
+    edges = lo + (hi - lo) * np.arange(size + 1) / size
+    step = (hi - lo) / size
+    if kind == "normal":
+        if sigma <= 0:
+            raise InputError(f"sigma must be positive, got {sigma}")
+        mass = _normal_cell_mass(edges, mu, sigma)
+    elif kind == "chisq1":
+        mass = np.diff(_chisq1_cdf(edges))
+    elif kind == "product_normal":
+        mass = _product_normal_cell_mass(edges)
+    else:
+        raise InputError(f"unknown density kind {kind!r}")
+    covered = float(mass.sum())
+    return GriddedDensity(
+        float(lo), float(step), np.maximum(mass, 0.0) / step,
+        clipped_mass=max(0.0, 1.0 - covered),
+    )

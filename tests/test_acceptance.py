@@ -16,7 +16,7 @@ from polygauss.cli import main as cli_main
 from polygauss.lp import solve_chain_lp
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
 
-from oracles import brute_force_chain_lp
+from oracles import brute_force_chain_lp, oracle_density
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -139,7 +139,7 @@ def test_criterion_5_equivalence_suite(normal_oracle, chisq_oracle, product_orac
 
 def test_criterion_6_scaling_envelope():
     # product case (power cap 1, degree 2): fine closed-form grid, eps in [1e-2, 1e-1]
-    rho_p = pg.oracle_density("product_normal", -9.0, 9.0, 9000)
+    rho_p = oracle_density("product_normal", -9.0, 9.0, 9000)
     probes = np.geomspace(0.01, 0.1, 13)
     curve = pg.shift_modulus_curve(rho_p, probes)
     env_p = pg.envelope_check(curve, pg.EnvelopeParams(m=1, d=2))
@@ -156,7 +156,7 @@ def test_criterion_6_scaling_envelope():
     # is pinned near 0.81 by the log factor itself and is reported alongside
     exponent_ok = 0.9 <= fit_p["slope_adjusted"] <= 1.1
 
-    rho_c = pg.oracle_density("chisq1", 0.0, 16.0, 8000)
+    rho_c = oracle_density("chisq1", 0.0, 16.0, 8000)
     curve_c = pg.shift_modulus_curve(rho_c, probes)
     fit_c = pg.envelope_check(curve_c, pg.EnvelopeParams(m=2, d=2)).extras
     square_ok = 0.4 <= fit_c["slope_loglog"] <= 0.6

@@ -19,6 +19,8 @@ from polygauss.cli import COMMANDS, FIELDS, _build_parser, main
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import dumps, monomial, scale, variable
 
+from oracles import oracle_density
+
 X1X2 = dumps(monomial(2, (1, 1)))
 X1SQ = dumps(monomial(1, (2,)))
 CONSTANT = '{"n": 1, "terms": [{"exp": [0], "coef": 3.0}]}'
@@ -347,16 +349,20 @@ def test_values_far_off_the_grid_print_no_warning(tmp_path, argv, code, lines):
 
 
 def test_cli_import_does_not_load_scipy_optimize():
+    """Neither the package nor the CLI loads any scipy module: scipy is a
+    test dependency only, and its import would be paid by every command."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, polygauss.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for module in ("polygauss", "polygauss.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", (module, proc.stdout)
 
 
 def test_error_classes_are_value_errors():
@@ -364,7 +370,7 @@ def test_error_classes_are_value_errors():
 
 
 def _oracle():
-    return pg.oracle_density("normal", -4.0, 4.0, 2048)
+    return oracle_density("normal", -4.0, 4.0, 2048)
 
 
 # Each case names one condition that must end a run with exit 4, and raises it

@@ -11,7 +11,7 @@ from scipy.special import k0, ndtr
 
 import polygauss as pg
 import polygauss.density as density
-from polygauss.density import SAMPLE_CHUNK, product_normal_pdf
+from polygauss.density import SAMPLE_CHUNK
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import (
     ClassParams,
@@ -23,6 +23,8 @@ from polygauss.poly import (
     scale,
     variable,
 )
+
+from oracles import oracle_density, product_normal_pdf
 
 
 TWO_CHUNKS = SAMPLE_CHUNK + 12_345  # a sample size of two chunks, the second short
@@ -144,6 +146,15 @@ def test_sample_many_couples_shared_variables(monkeypatch, threads):
         sf, sg, sh = pg.sample_many([(f, 4), (g, 5), (h, 6)], n)
         assert np.array_equal(sf.values, alone)
         np.testing.assert_allclose(sg.values, sf.values + sh.values, rtol=1e-12, atol=1e-12)
+
+
+def test_sample_many_reads_one_block_by_one_index():
+    # jobs on one column and on two non-adjacent columns of job 0's block
+    f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25})
+    jobs = [(f, 4), (monomial(3, (1, 0, 1)), 8), (variable(3, 1), 9), (variable(3, 3), 10)]
+    _, x1x3, x1, x3 = pg.sample_many(jobs, TWO_CHUNKS)
+    assert np.array_equal(x1x3.values, x1.values * x3.values)
+    assert not np.array_equal(x1.values, x3.values)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -282,7 +293,7 @@ def test_histogram_mass_and_range(x1_samples):
 
 def test_histogram_oracle_agreement(x1_samples):
     h = pg.histogram_density(x1_samples, 400)
-    o = pg.oracle_density("normal", h.lo, h.hi, h.size)
+    o = oracle_density("normal", h.lo, h.hi, h.size)
     assert h.step * np.abs(h.values - o.values).sum() <= 0.02
 
 
@@ -441,13 +452,13 @@ def test_half_counts_in_blocks_match_the_whole_array(monkeypatch, block):
 
 
 def test_oracle_normal_point_value():
-    o = pg.oracle_density("normal", -4.0, 4.0, 2048)
+    o = oracle_density("normal", -4.0, 4.0, 2048)
     at0 = o.values[o.size // 2]
     assert at0 == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-4)
 
 
 def test_oracle_chisq_point_value():
-    o = pg.oracle_density("chisq1", 0.0, 16.0, 4096)
+    o = oracle_density("chisq1", 0.0, 16.0, 4096)
     idx = int((1.0 - o.lo) / o.step)
     want = math.exp(-0.5) / math.sqrt(2 * math.pi)  # 0.2420
     assert o.values[idx] == pytest.approx(want, rel=5e-3)
@@ -455,7 +466,7 @@ def test_oracle_chisq_point_value():
 
 def test_oracle_product_matches_histogram(x1x2_samples):
     h = pg.histogram_density(x1x2_samples, 400)
-    o = pg.oracle_density("product_normal", h.lo, h.hi, h.size)
+    o = oracle_density("product_normal", h.lo, h.hi, h.size)
     idx = int((1.0 - o.lo) / o.step)
     assert abs(h.values[idx] - o.values[idx]) <= 0.01
     assert h.step * np.abs(h.values - o.values).sum() <= 0.02
@@ -465,7 +476,7 @@ def test_oracle_product_matches_histogram(x1x2_samples):
 def test_oracle_product_coarse_grids_sum_the_fine_one(product_oracle, size):
     # an edge at 0 in a cell far wider than the series range; each coarse
     # cell holds the mass of the fine cells it covers
-    coarse = pg.oracle_density("product_normal", -9.0, 9.0, size)
+    coarse = oracle_density("product_normal", -9.0, 9.0, size)
     fine = product_oracle.values.reshape(size, -1).sum(axis=1) * product_oracle.step
     assert np.abs(coarse.values * coarse.step - fine).max() <= 1e-8
     assert coarse.mass == pytest.approx(product_oracle.mass, abs=1e-12)
@@ -473,7 +484,23 @@ def test_oracle_product_coarse_grids_sum_the_fine_one(product_oracle, size):
 
 def test_oracle_unknown_kind():
     with pytest.raises(InputError, match="unknown density kind"):
-        pg.oracle_density("cauchy", -1, 1, 64)
+        oracle_density("cauchy", -1, 1, 64)
+
+
+# sha256 of the values of the three session-fixture grids, recorded when the
+# closed forms still lived in the package: moving them changed no bit
+ORACLE_DIGESTS = {
+    "normal_oracle": "7b1cf7a65f89d2d7ae8209f7d13b2483ddcc44d73f3d253c53143f91ec881ed6",
+    "chisq_oracle": "2c468de6c7ebb7b532a86fe53e95e4c6c8489ab3bf3664280484e2a8b2d1029c",
+    "product_oracle": "8bd0c1aa135c45c90d8eb6308347964513414d4c4519b0e12230cf432e8ce556",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ORACLE_DIGESTS))
+def test_oracle_grids_keep_their_bits(request, fixture):
+    o = request.getfixturevalue(fixture)
+    assert o.size == 2048
+    assert hashlib.sha256(o.values.tobytes()).hexdigest() == ORACLE_DIGESTS[fixture]
 
 
 def test_product_pdf_quadrature_cross_check():

@@ -13,6 +13,8 @@ from polygauss.functionals import (
     geometric_grid,
 )
 
+from oracles import oracle_density
+
 
 def gauss_shift_l1(h):
     """Closed form for the L1 distance between the standard normal density
@@ -46,7 +48,7 @@ def test_shift_modulus_resolution_guard(normal_oracle):
 
 
 def test_probe_grid_range_errors():
-    wide = pg.oracle_density("normal", -5.0, 5.0, 16)  # step 0.625 > 1/2
+    wide = oracle_density("normal", -5.0, 5.0, 16)  # step 0.625 > 1/2
     with pytest.raises(ResolutionError, match="leaves no probe below 1.0"):
         pg.default_probe_grid(wide)
     # empty ranges, ranges spanning infinitely many decades, and too many points
@@ -150,9 +152,9 @@ def test_dual_curve_monotone_concave(normal_oracle):
 
 
 def test_scaling_identity_oracles():
-    base = pg.oracle_density("normal", -4.0, 4.0, 1024)
+    base = oracle_density("normal", -4.0, 4.0, 1024)
     for alpha in (2.0, 5.0):
-        scaled = pg.oracle_density("normal", -4.0 * alpha, 4.0 * alpha, 1024, sigma=alpha)
+        scaled = oracle_density("normal", -4.0 * alpha, 4.0 * alpha, 1024, sigma=alpha)
         for t in (0.1, 0.5, 1.0):
             lhs = pg.dual_modulus(scaled, t)
             rhs = pg.dual_modulus(base, t / alpha)
@@ -190,7 +192,7 @@ def test_equivalence_monte_carlo(x1x2_samples):
 
 
 def test_equivalence_near_dirac_flags_budget():
-    rho = pg.oracle_density("normal", -0.01, 0.01, 256, sigma=0.001)
+    rho = oracle_density("normal", -0.01, 0.01, 256, sigma=0.001)
     probes = geometric_grid(1e-3, 0.005, 12)
     report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
     assert report.verdict
@@ -287,7 +289,7 @@ def test_degree_envelope_chisq(chisq_oracle):
 def test_degree_envelope_scaling_compensation(normal_oracle):
     # doubling the polynomial doubles scale; the variance factor compensates
     eps = np.geomspace(0.02, 0.3, 12)
-    doubled = pg.oracle_density("normal", -8.0, 8.0, 2048, sigma=2.0)
+    doubled = oracle_density("normal", -8.0, 8.0, 2048, sigma=2.0)
     c1 = pg.degree_envelope_check(
         1.0, pg.dual_modulus_curve(normal_oracle, eps), d=1
     ).fitted_constant
@@ -338,8 +340,8 @@ def test_row_check_margins_are_smallest_rhs_minus_lhs(
         pg.ecdf(x1_samples), x1_samples.count, h, [(-0.05, 0.05), (-0.5, 0.5)]
     )
     assert report.worst_margin == row_margin(report)
-    near = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
-    far = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
+    near = oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
+    far = oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
     report = pg.tv_vs_kr_check(near, far, np.geomspace(0.05, 0.9, 6))
     assert report.worst_margin == row_margin(report)
 
@@ -348,21 +350,21 @@ def test_row_check_margins_are_smallest_rhs_minus_lhs(
 
 
 def test_tv_identical_and_disjoint():
-    near = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
-    far = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
+    near = oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
+    far = oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
     assert pg.tv_distance(near, near) == 0.0
     assert pg.tv_distance(near, far) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_tv_gaussian_shift(normal_oracle):
-    shifted = pg.oracle_density("normal", -4.0, 4.0, 2048, mu=0.1)
+    shifted = oracle_density("normal", -4.0, 4.0, 2048, mu=0.1)
     got = pg.tv_distance(normal_oracle, shifted)
     assert got == pytest.approx(gauss_shift_l1(0.1), abs=0.005)
 
 
 def test_kr_basics():
-    near = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
-    far = pg.oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
+    near = oracle_density("normal", -4.0, 104.0, 27648, mu=0.0)
+    far = oracle_density("normal", -4.0, 104.0, 27648, mu=100.0)
     assert pg.kr_distance(near, near) == pytest.approx(0.0, abs=1e-12)
     assert pg.kr_distance(near, far) <= 2.0 + 1e-9
 
@@ -397,7 +399,7 @@ def test_metric_axioms_on_common_grid():
 
 
 def test_distances_need_one_grid(normal_oracle):
-    coarse = pg.oracle_density("normal", -4.0, 4.0, 1024)
+    coarse = oracle_density("normal", -4.0, 4.0, 1024)
     for distance in (pg.tv_distance, pg.kr_distance):
         with pytest.raises(InputError, match="one grid"):
             distance(normal_oracle, coarse)
@@ -417,8 +419,8 @@ def test_tv_vs_kr_check_probe_domain(normal_oracle):
 
 
 def test_tv_vs_kr_far_shift():
-    near = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
-    far = pg.oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
+    near = oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
+    far = oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
     report = pg.tv_vs_kr_check(near, far, np.geomspace(0.05, 0.9, 6))
     assert report.verdict  # the kr/eps term carries the bound
 
@@ -426,7 +428,7 @@ def test_tv_vs_kr_far_shift():
 def test_tv_vs_kr_check_fails_when_kr_exceeds_tv(normal_oracle, monkeypatch):
     import polygauss.functionals as functionals
 
-    shifted = pg.oracle_density("normal", -4.0, 4.0, 2048, mu=0.3)
+    shifted = oracle_density("normal", -4.0, 4.0, 2048, mu=0.3)
     monkeypatch.setattr(
         functionals, "kr_distance", lambda x, y: functionals.tv_distance(x, y) + 0.5
     )
