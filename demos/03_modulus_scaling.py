@@ -63,7 +63,7 @@ print(f"degree-only bound: slope {drep.extras['slope']:.3f} "
 # small-set bound: P(W in A) <= sigma(rho, |A|)
 s1 = pg.sample(pg.monomial(1, (1,)), 400_000, seed=9)
 h1 = pg.histogram_density(s1, 400)
-rep = pg.small_set_check(pg.ecdf(s1), s1.count, h1, [(-0.05, 0.05), (0.5, 1.0)])
+rep = pg.small_set_check(pg.ecdf(s1), h1, [(-0.05, 0.05), (0.5, 1.0)])
 for row in rep.rows:
     print(f"interval of length {row.eps:.2f}: "
           f"empirical mass {row.lhs:.4f} <= dual modulus {row.rhs:.4f}")

@@ -21,7 +21,7 @@ import numpy as np
 from .density import SampleSet
 from .errors import InputError, ResolutionError
 from .functionals import (
-    BoundReport, EnvelopeParams, geometric_grid, log_bracket, ols_slope, scaling_report,
+    BoundReport, EnvelopeParams, geometric_grid, ols_slope, power_bracket, scaling_report,
 )
 
 ECF_CHUNK = 1 << 18
@@ -224,11 +224,11 @@ def _binned_sum(t: float, j: int, centers: np.ndarray, mom: np.ndarray) -> compl
 
 def cf_envelope(p: EnvelopeParams, t: float) -> float:
     """|a t|^(-1/m) (|ln|a t||^(d-m) + 1), the unit-constant decay envelope
-    (the log term drops out when d = m)."""
+    (the log term drops out when d = m).  An envelope that is not finite and
+    positive is an input error."""
     if t <= 0:
         raise InputError(f"t must be positive, got {t}")
-    u = p.lead * t
-    return u ** (-1.0 / p.m) * log_bracket(u, p.d - p.m)
+    return power_bracket(np.float64(t) * p.lead, -1.0 / p.m, p.d - p.m, f"t {t:g}")
 
 
 def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:

@@ -473,7 +473,7 @@ def cmd_verify_all(cfg: dict) -> int:
             intervals = [
                 (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)
             ]
-            record(small_set_check(ecdf(s), s.count, rho, intervals))
+            record(small_set_check(ecdf(s), rho, intervals))
             record(env_report)
             record(degree_envelope_check(variance(f), sigma, env_params.d))
 

@@ -20,18 +20,18 @@ chunk of ``SAMPLE_CHUNK`` values, with normals drawn by numpy's ziggurat
 method.  ``sample_many`` draws several laws, each a (polynomial, seed) job,
 from one X (common random numbers): each active variable is drawn from the
 streams of the first job that uses it, and a later job reads the normals of
-the variables it shares, so a law given twice gives equal values.  A job
-whose variables all sit in one law's block reads them with one index (a
-view when the columns are adjacent) rather than gathering them column by
-column.  verify-all draws f and 0.1 x1 and sums them (``add_samples``), so
-its g = f + 0.1 x1 costs one multiply, one add and at most the normals of
-x1; ``distance`` still evaluates its ``polynomial_b``.
+the variables it shares, so a law given twice gives equal values.  Every
+job reads its variables as column views of the blocks that own them, so no
+normal is copied.  verify-all draws f and 0.1 x1 and sums them
+(``add_samples``), so its g = f + 0.1 x1 costs one multiply, one add and at
+most the normals of x1; ``distance`` still evaluates its ``polynomial_b``.
 ``sample`` is the one-job case, and job 0 of any draw, like any job that
 shares no variable with an earlier one, has the values ``sample`` gives it.
 The thread pool takes one task per chunk, which draws every job's rows in
 turn, so a draw of more than one chunk keeps every CPU busy.  Results are
 bit-identical for any thread count, because chunk boundaries are fixed and
-each chunk writes its own slice of each output.  Inside a chunk, rows are
+each chunk writes its own slice of each output; a law's values are checked
+for overflow once, when every chunk is drawn.  Inside a chunk, rows are
 drawn and evaluated in blocks of about ``BLOCK_BYTES`` of normals over all
 jobs, so memory is the outputs plus one block per thread, whatever n is.
 Each job draws the variables it owns, those no earlier job uses, as one
@@ -112,8 +112,9 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
 
     Job 0 gets the values ``sample(f, n_samples, seed)`` gives it, and so
     does any job that shares no variable with an earlier one; a job's seed
-    keys only the variables no earlier job uses.  When jobs fail, the error
-    of the first failing job in ``jobs`` is raised.
+    keys only the variables no earlier job uses.  Each job's f is evaluated
+    on its active variables' columns, views of the blocks of the jobs that
+    own them.  A job whose values overflow a float raises ``InputError``.
     """
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
@@ -130,53 +131,31 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
         own = [i for i in active if i not in owner]
         owner.update({i: (len(laws), col) for col, i in enumerate(own)})
         widths.append(len(own))
-        cols = [owner[i] for i in active]
-        if len({law for law, _ in cols}) == 1:  # one law's block: one index, no gather
-            idx = [c for _, c in cols]
-            run = idx == list(range(idx[0], idx[-1] + 1))  # adjacent: a slice, a view
-            cols = (cols[0][0], slice(idx[0], idx[-1] + 1) if run else idx)
         f = Polynomial(len(active), {tuple(exps[i] for i in active): c
                                      for exps, c in f.terms.items()})
         children = np.random.SeedSequence(seed).spawn(n_chunks) if own else []
-        laws.append((f, values, children, cols))
+        laws.append((f, values, children, [owner[i] for i in active]))
     # the floor keeps per-block Python overhead small next to the arithmetic
     rows = max(4096, BLOCK_BYTES // (8 * max(1, sum(widths))))
 
-    def draw(i: int) -> tuple[int, InputError | None]:
-        """Chunk i of every law: (index of the first law failing in it, its error)."""
+    def draw(i: int) -> None:
+        """Chunk i of every law, a block of rows at a time."""
         gens = [np.random.Generator(np.random.SFC64(children[i])) if children else None
                 for _, _, children, _ in laws]
-        live, error = len(laws), None  # laws from a failing one on are not drawn
         end = min((i + 1) * SAMPLE_CHUNK, n_samples)
         for lo in range(i * SAMPLE_CHUNK, end, rows):
             hi = min(lo + rows, end)
-            # each law's own normals, a row-major (rows, width) draw; z may view
-            # the last block's, so drop both before drawing the next
-            blocks, z = [], None
-            for k, (f, values, _, cols) in enumerate(laws[:live]):
-                blocks.append(gens[k].standard_normal((hi - lo, widths[k]))
-                              if widths[k] else None)
-                if isinstance(cols, tuple):
-                    z = blocks[cols[0]][:, cols[1]]
-                else:
-                    z = np.empty((hi - lo, f.n))
-                    for c, (law, col) in enumerate(cols):
-                        z[:, c] = blocks[law][:, col]
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        block = _finite(evaluate_batch(f, z))
-                except InputError as e:
-                    live, error = k, e
-                    break
-                values[lo:hi] = block
-        return live, error
+            # each law's own normals, a row-major (rows, width) draw; binding a
+            # new list frees the last pass's blocks before this pass draws
+            blocks = []
+            for gen, width, (f, values, _, cols) in zip(gens, widths, laws):
+                blocks.append(gen.standard_normal((hi - lo, width)) if width else None)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+                    values[lo:hi] = evaluate_batch(f, [blocks[law][:, c] for law, c in cols])
 
     with ThreadPoolExecutor(max_workers=min(n_chunks, THREADS)) as pool:
-        failed = list(pool.map(draw, range(n_chunks)))
-    _, error = min(failed, key=lambda r: r[0])  # first failing law, then first chunk
-    if error is not None:
-        raise error
-    return [SampleSet(values, seed) for values, (_, seed) in zip(outputs, jobs)]
+        list(pool.map(draw, range(n_chunks)))
+    return [SampleSet(_finite(values), seed) for values, (_, seed) in zip(outputs, jobs)]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -324,6 +303,8 @@ def histogram_density(
     if s.count < 10 * size:
         raise InputError(f"need >= {10 * size} samples for {size} cells, got {s.count}")
     glo, step = quantile_grid([s], size) if grid is None else grid
+    if not math.isfinite(1.0 / step):
+        raise ResolutionError(f"grid step {step:g} is too fine: 1/step overflows a float")
     c1, c2 = _half_counts(s.values, glo, step, size)
     counts = c1 + c2
     n = s.count
@@ -345,10 +326,10 @@ class EmpiricalCdf:
 
     def __init__(self, s: SampleSet):
         self._sorted = s.sorted
-        self._n = s.count
+        self.count = s.count  # the size of the sample
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        r = np.searchsorted(self._sorted, x, side="right") / self._n
+        r = np.searchsorted(self._sorted, x, side="right") / self.count
         return float(r) if np.isscalar(x) else r
 
     def interval_prob(self, a: float, b: float) -> float:

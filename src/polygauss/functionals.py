@@ -55,8 +55,18 @@ def log_bracket(u: float, exponent: float) -> float:
         return 1.0
     try:
         return abs(math.log(u)) ** exponent + 1.0
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: u underflowed to 0
         raise InputError(f"envelope term |ln {u:g}|^{exponent:g} overflows") from None
+
+
+def power_bracket(u: np.float64, power: float, exponent: float, at: str) -> float:
+    """u^power (|ln u|^exponent + 1), an envelope's value; one that is not
+    finite and positive is an input error, which names the probe ``at``."""
+    with np.errstate(over="ignore", divide="ignore"):  # u may be subnormal or 0
+        value = u ** power * log_bracket(u, exponent)
+    if not 0 < value < math.inf:
+        raise InputError(f"envelope at {at} is {value:g}, not finite and positive")
+    return value
 
 
 # --- Curves and reports ------------------------------------------------------
@@ -316,20 +326,21 @@ def modulus_equivalence_check(rho: GriddedDensity, sigma: ModulusCurve) -> Bound
 
 def small_set_check(
     cdf: EmpiricalCdf,
-    n_samples: int,
     rho: GriddedDensity,
     intervals,
 ) -> BoundReport:
     """Empirical P(W in (a, b]) against sigma(rho, b - a) plus a 4-sigma
-    binomial band and the density budget."""
+    binomial band, over the ``cdf.count`` samples the CDF holds, and the
+    density budget."""
     base = density_budget(rho)
+    n = cdf.count
     rows: list[ProbeRow] = []
     for a, b in intervals:
         p_hat = cdf.interval_prob(a, b)
         length = b - a
         sigma = dual_modulus(rho, length)
-        band = 4.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
-        band += 1.0 / n_samples
+        band = 4.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+        band += 1.0 / n
         rows.append(
             ProbeRow(
                 float(length),
@@ -353,12 +364,8 @@ def modulus_envelope(p: EnvelopeParams, eps: float, exponent_bias: float = 0.0) 
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    u = np.float64(eps) / p.lead
-    with np.errstate(over="ignore"):
-        value = u ** (1.0 / p.m + exponent_bias) * log_bracket(u, p.d - p.m)
-    if not 0 < value < math.inf:
-        raise InputError(f"envelope at eps {eps:g} is {value:g}, not finite and positive")
-    return value
+    return power_bracket(np.float64(eps) / p.lead, 1.0 / p.m + exponent_bias,
+                         p.d - p.m, f"eps {eps:g}")
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -150,34 +150,40 @@ def max_var_power(f: Polynomial) -> int:
     return max(max(j) for j in f.terms)
 
 
-def evaluate_batch(f: Polynomial, x: np.ndarray) -> np.ndarray:
-    """Evaluate f at each row of an (N, n) array.
+def evaluate_batch(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate f at N points given by its n coordinate columns: any sequence
+    of n equal-length 1-D arrays, such as column views of a block of normals
+    (an (N, n) array ``x`` gives them as ``x.T``).
 
     Each variable's powers come from one running product, of which only the
     exponents some term uses are kept, so memory does not grow with the
     degree; the cost is O(terms * n * N) multiplies.  Each term is built in
     one buffer, ``coef * p_first`` and then ``*= p`` for its other factors,
     and added to a sum that starts from zeros: the rounding of every value
-    depends only on its own row, so evaluating the rows in blocks gives the
-    same bits as evaluating them at once.
+    depends only on its own point, so evaluating the points in blocks gives
+    the same bits as evaluating them at once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != f.n:
-        raise InputError(f"batch shape {x.shape} incompatible with n={f.n}")
+    cols = [np.asarray(c, dtype=np.float64) for c in cols]
+    if len(cols) != f.n:
+        raise InputError(f"{len(cols)} columns for a polynomial in {f.n} variables")
+    if any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
+        raise InputError(f"columns must be 1-D of one length, got shapes "
+                         f"{sorted({c.shape for c in cols})}")
+    size = cols[0].shape[0]
     if f.is_zero:
-        return np.zeros(x.shape[0])
+        return np.zeros(size)
     pows: list[dict[int, np.ndarray]] = []
-    for i in range(f.n):
+    for i, x in enumerate(cols):
         wanted = {exps[i] for exps in f.terms}
-        col, power = {}, x[:, i]
+        col, power = {}, x
         for e in range(1, max(wanted) + 1):
             if e > 1:
-                power = power * x[:, i]
+                power = power * x
             if e in wanted:
                 col[e] = power
         pows.append(col)
-    out = np.zeros(x.shape[0])
-    term = np.empty(x.shape[0])
+    out = np.zeros(size)
+    term = np.empty(size)
     for exps, coef in f.terms.items():
         factors = [pows[i][e] for i, e in enumerate(exps) if e]
         if not factors:

@@ -196,6 +196,14 @@ def test_decay_exponents():
     assert pg.decay_exponents(pg.EnvelopeParams(m=1, d=3), 10) == (2.0, 12.5)
 
 
+@pytest.mark.parametrize("m, d, t, message", [
+    (1, 1, 0.1, "not finite and positive"),  # a t = 1e-321: the power is infinite
+    (1, 2, 1e-5, "overflows"),  # a t underflows to 0, so its log is infinite
+])
+def test_cf_envelope_not_finite_and_positive_is_an_input_error(m, d, t, message):
+    with pytest.raises(InputError, match=message):
+        pg.cf_envelope(pg.EnvelopeParams(m=m, d=d, lead=1e-320), t)
+
 
 def _chain(n: int):
     """The chain sum_i x_i x_(i+1) plus 0.3 x_1 in n variables, as a

@@ -327,6 +327,18 @@ def test_scaling_laws_need_a_non_constant_polynomial(tmp_path, capsys, argv):
     assert "non-constant polynomial" in capsys.readouterr().err
 
 
+def _cli_subprocess(argv, tmp_path):
+    """The CLI run in its own process with every warning shown, so that
+    whatever numpy prints reaches its stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "default", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "polygauss.cli", *argv, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 X400 = '{"n": 1, "terms": [{"exp": [400], "coef": 1.0}]}'
 
 
@@ -336,16 +348,25 @@ X400 = '{"n": 1, "terms": [{"exp": [400], "coef": 1.0}]}'
     (["distance", "--poly", X400, "--poly-b", dumps(monomial(1, (1,)))], 0, 0),
 ])
 def test_values_far_off_the_grid_print_no_warning(tmp_path, argv, code, lines):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONWARNINGS": "default", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "polygauss.cli", *argv, "--samples", "100000",
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli_subprocess([*argv, "--samples", "100000"], tmp_path)
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == lines, proc.stderr
+
+
+TINY_X1 = '{"n": 1, "terms": [{"exp": [1], "coef": 1e-320}]}'  # a subnormal scale
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the grid step is subnormal, so 1/step overflows
+    (["modulus", "--poly", TINY_X1, "--grid", "16"], 4),
+    (["distance", "--poly", TINY_X1, "--poly-b", TINY_X1, "--grid", "16"], 4),
+    # |a t|^(-1/m) overflows at the smallest t
+    (["cf", "--poly", TINY_X1], 3),
+])
+def test_subnormal_scale_exits_with_one_line(tmp_path, argv, code):
+    proc = _cli_subprocess([*argv, "--samples", "20000"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_import_does_not_load_scipy_optimize():

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -148,7 +147,7 @@ def test_sample_many_couples_shared_variables(monkeypatch, threads):
         np.testing.assert_allclose(sg.values, sf.values + sh.values, rtol=1e-12, atol=1e-12)
 
 
-def test_sample_many_reads_one_block_by_one_index():
+def test_sample_many_reads_columns_of_one_block():
     # jobs on one column and on two non-adjacent columns of job 0's block
     f = Polynomial(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5, (0, 1, 0): 0.25})
     jobs = [(f, 4), (monomial(3, (1, 0, 1)), 8), (variable(3, 1), 9), (variable(3, 3), 10)]
@@ -158,31 +157,32 @@ def test_sample_many_reads_one_block_by_one_index():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sample_many_raises_the_first_failing_job(monkeypatch, threads):
+def test_sample_many_raises_the_overflow_of_any_job(monkeypatch, threads):
     monkeypatch.setattr(density, "THREADS", threads)
     overflowing = Polynomial(1, {(200,): 1e300})  # wherever |x| > 1.1
     with pytest.raises(InputError, match="overflow"):
         pg.sample_many([(monomial(1, (1,)), 1), (overflowing, 2)], 1000)
+    jobs = [(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)]
+    evaluate = density.evaluate_batch
 
-    def fail_by_dimension(f, z):
-        if f.n == 1:
-            time.sleep(0.05)  # so that job 1 fails first in time
-        raise InputError(f"job with n={f.n} failed")
+    def overflow_at(where):
+        def evaluate_with_inf(f, cols):
+            values = evaluate(f, cols)
+            if where(f, len(cols[0])):
+                values[0] = np.inf
+            return values
+        return evaluate_with_inf
 
-    monkeypatch.setattr(density, "evaluate_batch", fail_by_dimension)
-    with pytest.raises(InputError, match="n=1"):
-        pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], 1000)
-
-    def fail_late_or_at_once(f, z):
-        # job 0 fails only in the short last block, which only chunk 1 has
-        if f.n == 2 or z.shape[0] < 4096:
-            raise InputError(f"job with n={f.n} failed")
-        return np.zeros(z.shape[0])
-
+    # job 1 overflows at once
+    monkeypatch.setattr(density, "evaluate_batch", overflow_at(lambda f, rows: f.n == 2))
+    with pytest.raises(InputError, match="overflow"):
+        pg.sample_many(jobs, 1000)
+    # job 0 overflows only in the short last block, which only chunk 1 has
     monkeypatch.setattr(density, "BLOCK_BYTES", 1)  # 4096-row blocks
-    monkeypatch.setattr(density, "evaluate_batch", fail_late_or_at_once)
-    with pytest.raises(InputError, match="n=1"):
-        pg.sample_many([(monomial(1, (1,)), 1), (monomial(2, (1, 1)), 2)], TWO_CHUNKS)
+    monkeypatch.setattr(density, "evaluate_batch",
+                        overflow_at(lambda f, rows: f.n == 1 and rows < 4096))
+    with pytest.raises(InputError, match="overflow"):
+        pg.sample_many(jobs, TWO_CHUNKS)
 
 
 def test_add_samples_gives_the_pinned_g():
@@ -249,9 +249,9 @@ def test_sample_checks_overflow_in_the_last_block(monkeypatch):
     f = monomial(2, (1, 1))
     evaluate = density.evaluate_batch
 
-    def overflow_in_short_block(g, z):
-        values = evaluate(g, z)
-        if z.shape[0] < 4096:  # only the last of 10_000 rows in 4096-row blocks
+    def overflow_in_short_block(g, cols):
+        values = evaluate(g, cols)
+        if len(cols[0]) < 4096:  # only the last of 10_000 rows in 4096-row blocks
             values[-1] = np.inf
         return values
 

@@ -205,21 +205,19 @@ def test_equivalence_near_dirac_flags_budget():
 def test_small_set_gaussian(x1_samples):
     h = pg.histogram_density(x1_samples, 400)
     cdf = pg.ecdf(x1_samples)
-    report = pg.small_set_check(cdf, x1_samples.count, h, [(-0.05, 0.05)])
+    report = pg.small_set_check(cdf, h, [(-0.05, 0.05)])
     row = report.rows[0]
     assert row.lhs == pytest.approx(2 * ndtr(0.05) - 1, abs=0.002)
     assert report.verdict
     with pytest.raises(InputError, match="out of order"):
-        pg.small_set_check(cdf, x1_samples.count, h, [(0.05, -0.05)])
+        pg.small_set_check(cdf, h, [(0.05, -0.05)])
 
 
 def test_small_set_trivial_cases(x1_samples):
     h = pg.histogram_density(x1_samples, 400)
     cdf = pg.ecdf(x1_samples)
     span = h.hi - h.lo
-    report = pg.small_set_check(
-        cdf, x1_samples.count, h, [(h.lo, h.lo + span), (0.25, 0.25)]
-    )
+    report = pg.small_set_check(cdf, h, [(h.lo, h.lo + span), (0.25, 0.25)])
     assert report.verdict
     assert report.rows[1].lhs == 0.0  # empty interval
 
@@ -336,9 +334,7 @@ def test_row_check_margins_are_smallest_rhs_minus_lhs(
         report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
         assert report.worst_margin == row_margin(report)
     h = pg.histogram_density(x1_samples, 400)
-    report = pg.small_set_check(
-        pg.ecdf(x1_samples), x1_samples.count, h, [(-0.05, 0.05), (-0.5, 0.5)]
-    )
+    report = pg.small_set_check(pg.ecdf(x1_samples), h, [(-0.05, 0.05), (-0.5, 0.5)])
     assert report.worst_margin == row_margin(report)
     near = oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
     far = oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)

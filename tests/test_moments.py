@@ -83,7 +83,7 @@ def test_hermite_reconstruction(rng=np.random.default_rng(23)):
         f = random_in_class(ClassParams(n, 3, 5), seed=int(rng.integers(0, 2**31)))
         pts = rng.normal(size=(50, n))
         got = evaluate_expansion(hermite_expand(f), pts)
-        want = pg.evaluate_batch(f, pts)
+        want = pg.evaluate_batch(f, pts.T)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 

@@ -81,7 +81,7 @@ def test_evaluate_examples():
 def test_evaluate_batch_matches_pointwise_with_exponent_gaps():
     f = Polynomial(2, {(5, 0): 1.0, (2, 3): -2.0, (0, 7): 0.5, (0, 0): 3.0})
     x = np.random.default_rng(8).standard_normal((50, 2))
-    got = evaluate_batch(f, x)
+    got = evaluate_batch(f, x.T)
     assert got == pytest.approx([evaluate(f, row) for row in x], rel=1e-12, abs=1e-12)
 
 
@@ -89,11 +89,21 @@ def test_evaluate_batch_memory_does_not_grow_with_degree():
     x = np.random.default_rng(0).standard_normal((100_000, 1))  # 0.8 MB a column
     tracemalloc.start()
     try:
-        evaluate_batch(monomial(1, (100,)), x)
+        evaluate_batch(monomial(1, (100,)), x.T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_evaluate_batch_takes_n_columns_of_one_length():
+    f = monomial(2, (1, 1))
+    x = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(evaluate_batch(f, x.T), evaluate_batch(f, [x[:, 0], x[:, 1]]))
+    with pytest.raises(InputError, match="3 columns for a polynomial in 2 variables"):
+        evaluate_batch(f, x)  # the rows of an (N, n) array are not its columns
+    with pytest.raises(InputError, match="1-D of one length"):
+        evaluate_batch(f, [x[:, 0], x[:2, 1]])
 
 
 def test_scale_examples():
@@ -146,8 +156,8 @@ def test_multiply_matches_pointwise(rng=np.random.default_rng(11)):
         n = int(rng.integers(1, 4))
         f, g = random_poly(rng, n), random_poly(rng, n)
         pts = rng.uniform(-2, 2, size=(50, n))
-        lhs = evaluate_batch(multiply(f, g), pts)
-        rhs = evaluate_batch(f, pts) * evaluate_batch(g, pts)
+        lhs = evaluate_batch(multiply(f, g), pts.T)
+        rhs = evaluate_batch(f, pts.T) * evaluate_batch(g, pts.T)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 

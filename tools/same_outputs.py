@@ -112,7 +112,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         "verify-all", "--n", "14", "--m", "2", "--d", "3", "--count", "3",
         "--seed", "1"]))
     # Six chunks of 2^18 samples per law, the last one short, so the joint
-    # draw of f and g puts twelve chunks in one pool.
+    # draw of f and g is six pool tasks, each drawing both laws' rows.
     runs.append(("distance x1*x2 vs x1*x2+0.2*x1 six chunks", [
         "distance", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]),
         "--poly-b", json.dumps(X1X2_PLUS), "--samples", "1500000",
