@@ -260,7 +260,7 @@ def cf_decay_check(curve: CfCurve, p: EnvelopeParams) -> BoundReport:
         slope = ols_slope(np.log(curve.t[fit]), np.log(curve.modulus[fit] / env[fit]))
     return scaling_report(
         "cf-decay", curve.t[valid], curve.modulus[valid], env[valid],
-        4.0 * curve.stderr[valid], slope, (-math.inf, CF_SLOPE_TOL),
+        slope, (-math.inf, CF_SLOPE_TOL),
         extras={"ratio_slope": slope, "slope_tol": CF_SLOPE_TOL},
     )
 

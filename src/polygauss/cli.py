@@ -72,11 +72,12 @@ EXIT_VERDICT = 2
 EXIT_INPUT = 3
 EXIT_RESOLUTION = 4
 
-# Ratio-trend window for Monte Carlo modulus curves probed up to eps ~ 1:
-# the envelope's log bracket collapses near the leading magnitude, which
-# legitimately tilts the ratio upward there; oracle-grade small-eps curves
-# are held to the tight symmetric window instead.
-MC_SLOPE_RANGE = (-0.6, 1.0)
+# Ratio-trend window of the Monte Carlo scaling laws (modulus and small
+# ball).  The law is an upper bound, so only a ratio that grows as eps
+# falls refutes it; a ratio that falls means a smoother law, and the log
+# bracket's collapse near the leading magnitude tilts it upward too.
+# Oracle-grade small-eps curves are held to the tight symmetric window.
+MC_SLOPE_RANGE = (-0.6, math.inf)
 
 CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's samples
 # verify-all's distance check compares f with g = f + PERTURBATION * x1, the
@@ -466,14 +467,7 @@ def cmd_verify_all(cfg: dict) -> int:
         with run.stage("checks"):
             _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
             record(equiv_report)
-
-            srt, half = s.sorted, s.count // 2  # np.median's value, read from the sort
-            med = float(srt[half] if s.count % 2 else (srt[half - 1] + srt[half]) / 2)
-            std = float(np.std(s.values))
-            intervals = [
-                (med - w / 2, med + w / 2) for w in (0.05 * std, 0.2 * std, std)
-            ]
-            record(small_set_check(ecdf(s), rho, intervals))
+            record(small_set_check(ecdf(s), rho, env_params, MC_SLOPE_RANGE))
             record(env_report)
             record(degree_envelope_check(variance(f), sigma, env_params.d))
 

@@ -325,18 +325,12 @@ class EmpiricalCdf:
     """Right-continuous empirical CDF, queryable at any real point."""
 
     def __init__(self, s: SampleSet):
-        self._sorted = s.sorted
+        self.sorted = s.sorted  # the sample's one sort, read-only
         self.count = s.count  # the size of the sample
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        r = np.searchsorted(self._sorted, x, side="right") / self.count
+        r = np.searchsorted(self.sorted, x, side="right") / self.count
         return float(r) if np.isscalar(x) else r
-
-    def interval_prob(self, a: float, b: float) -> float:
-        """Empirical probability of the interval (a, b]."""
-        if b < a:
-            raise InputError(f"interval endpoints out of order: ({a}, {b}]")
-        return float(self(b) - self(a))
 
 
 def ecdf(s: SampleSet) -> EmpiricalCdf:

@@ -13,11 +13,15 @@ Two moduli of continuity are computed for a density rho:
 
 The two are equivalent up to fixed factors:
 
-    omega(rho, 2 eps) / 2  <=  sigma(rho, eps)  <=  6 omega(rho, eps)
+    omega(rho, 2 eps) / 2  <=  sigma(rho, eps)  <=  (1 + eps/(k step)) omega(rho, k step)
 
-and for the image density of a non-constant polynomial with per-variable
-power cap m, total degree d and leading magnitude a, the shift modulus obeys
-a scaling law with envelope
+with k = floor(eps/step) >= 2, so the right factor is below 2.5.  The right
+half is a theorem of the grid objects for every nonnegative cell vector, so
+it is a property test of the code and no verdict row; the left half is
+checked.  For the image density of a non-constant polynomial with
+per-variable power cap m, total degree d and leading magnitude a, the shift
+modulus and the small-ball probability P(|W - c| <= eps/2) obey a scaling
+law with envelope
 
     (eps / a)^(1/m) * ( |ln(eps/a)|^(d-m) + 1 )
 
@@ -29,9 +33,11 @@ unit box.  They are linked through
     d_TV <= 6 max(sigma_X(eps), sigma_Y(eps)) + d_KR / eps   for eps in (0,1)
 
 which, combined with the envelope, bounds d_TV by a power of d_KR.  Every
-numeric verdict carries an explicit error budget: twice the truncated tail
+pointwise verdict carries an explicit error budget: twice the truncated tail
 mass, plus a step * total-variation discretization proxy, plus the Monte
-Carlo L1 noise estimate, scaled by the inequality's coefficients.
+Carlo L1 noise estimate, scaled by the inequality's coefficients.  A scaling
+law is judged by its fitted constant and the trend of its ratio to the
+envelope alone (``scaling_report``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .errors import InputError, ResolutionError
 from .lp import solve_chain_lp
 
 MAX_GRID_POINTS = 10_000  # most points of a probe or t grid; the default t grid has 81
+BALL_SAMPLES = 1000  # samples in the smallest ball small_set_check probes
 
 
 def log_bracket(u: float, exponent: float) -> float:
@@ -151,14 +158,11 @@ class BoundReport:
         fitted_constant: float | None = None,
         extra_ok: bool = True,
         extras: dict | None = None,
-        worst_margin: float | None = None,
     ) -> "BoundReport":
         verdict = bool(extra_ok) and all(r.passed for r in rows)
-        if worst_margin is None:
-            worst_margin = min((r.margin for r in rows), default=math.inf)
         return BoundReport(
             check_id, tuple(rows), fitted_constant, verdict, dict(extras or {}),
-            worst_margin,
+            min((r.margin for r in rows), default=math.inf),
         )
 
     def to_json_dict(self) -> dict:
@@ -238,25 +242,24 @@ def shift_modulus_curve(rho: GriddedDensity, eps_values) -> ModulusCurve:
 
 
 def _telescoped_weights(values: np.ndarray) -> np.ndarray:
-    w = np.empty(values.shape[0])
-    w[0] = -values[0]
-    w[-1] = values[-2]
-    if values.shape[0] > 2:
-        w[1:-1] = values[:-2] - values[1:-1]
-    return w
+    """Weights of sum_i rho_i (phi_{i+1} - phi_i) on the size + 1 nodes
+    phi_0..phi_size, one past each cell edge: -rho_0, rho_{i-1} - rho_i, rho_{size-1}."""
+    return -np.diff(values, prepend=0.0, append=0.0)
 
 
 def _dual_box(rho: GriddedDensity, eps: float) -> float:
     """The LP box for sigma(eps): the objective reads only differences of phi,
-    whose span, at most (size - 1) * step, fits in any box of half that width."""
-    return min(eps, 0.5 * (rho.size - 1) * rho.step)
+    whose span, at most size * step, fits in any box of half that width."""
+    return min(eps, 0.5 * rho.size * rho.step)
 
 
 def dual_modulus(rho: GriddedDensity, eps: float) -> float:
     """Exact value of the grid LP
 
         max sum_i rho_i (phi_{i+1} - phi_i),  |phi_i| <= eps,
-                                              |phi_{i+1} - phi_i| <= step.
+                                              |phi_{i+1} - phi_i| <= step,
+
+    over every cell i, the last one included.
     """
     if eps < 0:
         raise InputError(f"eps must be >= 0, got {eps}")
@@ -295,61 +298,23 @@ def geometric_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-# --- Equivalence of the two moduli (factors 1/2 and 6) ------------------------
+# --- Equivalence of the two moduli (lower factor 1/2) ---------------------------
 
 
 def modulus_equivalence_check(rho: GriddedDensity, sigma: ModulusCurve) -> BoundReport:
-    """Verify omega(rho, 2 eps)/2 <= sigma(rho, eps) <= 6 omega(rho, eps)
-    at every probe of the dual-modulus curve ``sigma`` of ``rho``, within the
-    density's error budget."""
+    """Verify omega(rho, 2 eps)/2 <= sigma(rho, eps) at every probe of the
+    dual-modulus curve ``sigma`` of ``rho``, within twice the density's error
+    budget plus the LP boundary allowance.  The upper half holds on every
+    grid vector (module docstring), so it has no row."""
     base = density_budget(rho)
-    ks = [max_shift_index(rho, c * e) for c in (1.0, 2.0) for e in sigma.eps]
-    omegas_eps, omegas_2eps = _shift_moduli(rho, ks).reshape(2, -1)
-    rows: list[ProbeRow] = []
-    for eps, sig, omega_eps, omega_2eps in zip(
-        sigma.eps, sigma.values, omegas_eps, omegas_2eps
-    ):
-        corr = boundary_correction(rho, eps)
-        rows.append(
-            ProbeRow(float(eps), 0.5 * omega_2eps, sig, 2.0 * base + corr)
-        )
-        rows.append(
-            ProbeRow(float(eps), sig, 6.0 * omega_eps, 13.0 * base + corr)
-        )
+    omegas = _shift_moduli(rho, [max_shift_index(rho, 2.0 * e) for e in sigma.eps])
+    rows = [
+        ProbeRow(float(eps), 0.5 * omega, sig, 2.0 * base + boundary_correction(rho, eps))
+        for eps, sig, omega in zip(sigma.eps, sigma.values, omegas)
+    ]
     return BoundReport.from_rows(
         "modulus-equivalence", rows, extras={"budget_base": base}
     )
-
-
-# --- Small-set probability bound ----------------------------------------------
-
-
-def small_set_check(
-    cdf: EmpiricalCdf,
-    rho: GriddedDensity,
-    intervals,
-) -> BoundReport:
-    """Empirical P(W in (a, b]) against sigma(rho, b - a) plus a 4-sigma
-    binomial band, over the ``cdf.count`` samples the CDF holds, and the
-    density budget."""
-    base = density_budget(rho)
-    n = cdf.count
-    rows: list[ProbeRow] = []
-    for a, b in intervals:
-        p_hat = cdf.interval_prob(a, b)
-        length = b - a
-        sigma = dual_modulus(rho, length)
-        band = 4.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-        band += 1.0 / n
-        rows.append(
-            ProbeRow(
-                float(length),
-                p_hat,
-                sigma,
-                band + base + boundary_correction(rho, length),
-            )
-        )
-    return BoundReport.from_rows("small-set", rows, extras={"budget_base": base})
 
 
 # --- Scaling-law envelope ------------------------------------------------------
@@ -377,30 +342,26 @@ def scaling_report(
     x: np.ndarray,
     vals: np.ndarray,
     env: np.ndarray,
-    budgets,
     slope: float | None,
     window: tuple[float, float],
     extras: dict,
 ) -> BoundReport:
     """Verdict of a scaling law vals <= C * env with C depending only on (m, d).
 
-    Fits C as the largest vals / env, and tabulates (x, val, C * env,
-    budget).  The margin is the log-log trend ``slope``'s distance to the
-    nearer end of the closed ``window`` (an infinite end leaves that side
-    open), inf when ``slope`` is None because there is no trend to test.
-    Passes when C is finite and the margin is not negative.
+    Fits C as the largest vals / env, and tabulates (x, val, C * env) with
+    zero budget.  Those rows hold by construction, up to rounding, so the
+    verdict does not read them.  The margin is the log-log trend ``slope``'s
+    distance to the nearer end of the closed ``window`` (an infinite end
+    leaves that side open), inf when ``slope`` is None because there is no
+    trend to test.  Passes when C is finite and the margin is not negative.
     """
     c_hat = float((vals / env).max())
-    rows = [
-        ProbeRow(float(a), float(v), c_hat * float(e), float(b))
-        for a, v, e, b in zip(x, vals, env, np.broadcast_to(budgets, np.shape(x)))
-    ]
+    rows = tuple(ProbeRow(float(a), float(v), c_hat * float(e), 0.0)
+                 for a, v, e in zip(x, vals, env))
     lo, hi = window
     margin = math.inf if slope is None else min(hi - slope, slope - lo)
-    return BoundReport.from_rows(
-        check_id, rows, fitted_constant=c_hat, extra_ok=math.isfinite(c_hat) and margin >= 0,
-        extras=extras, worst_margin=margin,
-    )
+    return BoundReport(check_id, rows, c_hat, math.isfinite(c_hat) and margin >= 0,
+                       dict(extras), margin)
 
 
 def envelope_check(
@@ -432,10 +393,11 @@ def envelope_check(
     log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
     ratio_slope = ols_slope(log_eps, np.log(vals / env))
     return scaling_report(
-        "modulus-envelope", eps, vals, env, 1e-12, ratio_slope, slope_range,
+        "modulus-envelope", eps, vals, env, ratio_slope, slope_range,
         extras={
             "ratio_slope": ratio_slope,
-            "slope_range": list(slope_range),
+            # an open end is null, since JSON has no infinity
+            "slope_range": [v if math.isfinite(v) else None for v in slope_range],
             "slope_loglog": ols_slope(log_eps, np.log(vals)),
             "slope_adjusted": ols_slope(log_eps, np.log(vals / log_factor)),
             "expected_exponent": 1.0 / p.m,
@@ -458,9 +420,42 @@ def degree_envelope_check(
     window = (1.0 / d - 0.1, math.inf)
     slope = ols_slope(np.log(eps), np.log(vals))
     return scaling_report(
-        "degree-envelope", eps, vals, var ** (-0.5 / d) * eps ** (1.0 / d), 1e-12,
+        "degree-envelope", eps, vals, var ** (-0.5 / d) * eps ** (1.0 / d),
         slope, window, extras={"slope": slope, "slope_floor": window[0], "variance": var},
     )
+
+
+def small_set_check(
+    cdf: EmpiricalCdf,
+    rho: GriddedDensity,
+    p: EnvelopeParams,
+    slope_range: tuple[float, float] = (-0.15, 0.15),
+    exponent_bias: float = 0.0,
+) -> BoundReport:
+    """Small-ball law: p(eps), the empirical mass of (c - eps/2, c + eps/2]
+    around the centre c of the densest cell of ``rho``, against the
+    envelope, judged as ``envelope_check`` judges the modulus.
+
+    Probes run 12 a decade from the smallest eps whose ball holds
+    ``BALL_SAMPLES`` samples, below which p is mostly noise, up to the
+    moduli's probe floor 2 * step, so they reach below the grid.  Fewer than
+    3 probes is a resolution error.
+    """
+    c = rho.lo + (int(rho.values.argmax()) + 0.5) * rho.step
+    i = int(np.searchsorted(cdf.sorted, c))
+    # the BALL_SAMPLES values nearest c lie within that many places of i
+    near = np.sort(np.abs(cdf.sorted[max(i - BALL_SAMPLES, 0):i + BALL_SAMPLES] - c))
+    lo = 2.0 * float(near[BALL_SAMPLES - 1]) if near.size >= BALL_SAMPLES else math.inf
+    hi = 2.0 * rho.step
+    eps = geometric_grid(lo, hi, 12) if 0.0 < lo < hi else ()
+    if len(eps) < 3:
+        raise ResolutionError(f"small-ball probes from {lo:g} ({BALL_SAMPLES} samples) "
+                              f"to 2*step={hi:g} are fewer than 3")
+    prob = cdf(c + eps / 2) - cdf(c - eps / 2)
+    env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
+    slope = ols_slope(np.log(eps), np.log(prob / env))
+    return scaling_report("small-set", eps, prob, env, slope, slope_range,
+                          extras={"centre": c, "ratio_slope": slope})
 
 
 # --- Distances ----------------------------------------------------------------

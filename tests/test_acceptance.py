@@ -13,6 +13,7 @@ from scipy.special import ndtr
 import polygauss as pg
 import polygauss.density as density
 from polygauss.cli import main as cli_main
+from polygauss.functionals import _shift_moduli, max_shift_index
 from polygauss.lp import solve_chain_lp
 from polygauss.poly import ClassParams, Polynomial, monomial, random_in_class
 
@@ -127,9 +128,15 @@ def test_criterion_5_equivalence_suite(normal_oracle, chisq_oracle, product_orac
     failures = []
     worst = math.inf
     for name, rho in densities:
-        rep = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, pg.default_probe_grid(rho)))
+        sigma = pg.dual_modulus_curve(rho, pg.default_probe_grid(rho))
+        rep = pg.modulus_equivalence_check(rho, sigma)
         worst = min(worst, rep.worst_margin + max(r.budget for r in rep.rows))
-        if not rep.verdict:
+        # the upper half at its proved factor, zero budget:
+        # sigma(eps) <= (1 + eps/(k step)) omega(k step), k = floor(eps/step)
+        ks = [max_shift_index(rho, e) for e in sigma.eps]
+        factors = 1.0 + sigma.eps / (np.array(ks) * rho.step)
+        upper_ok = bool(np.all(sigma.values <= factors * _shift_moduli(rho, ks)))
+        if not (rep.verdict and upper_ok):
             failures.append(name)
     ok = not failures
     report(5, "modulus equivalence suite", ok,

@@ -83,11 +83,11 @@ def test_modulus_command_files_and_rerun(tmp_path):
     for name in ("omega.csv", "sigma.csv", "envelope_ratios.csv",
                  "modulus_report.json", "samples.bin", "run_manifest.json"):
         assert (out1 / name).exists()
-    # omega and the envelope ratios have a row per envelope probe; sigma a row
-    # per eps, where the equivalence check has two
+    # omega and the envelope ratios have a row per envelope probe; sigma and
+    # the equivalence check a row per eps
     report = json.loads((out1 / "modulus_report.json").read_text())
     n_env = len(report["envelope"]["probes"])
-    n_sigma = len(report["equivalence"]["probes"]) // 2
+    n_sigma = len(report["equivalence"]["probes"])
     for name, header, rows in (("omega.csv", "eps,value", n_env),
                                ("sigma.csv", "eps,value", n_sigma),
                                ("envelope_ratios.csv", "eps,ratio", n_env)):
@@ -226,8 +226,12 @@ def test_verify_all_deterministic(tmp_path):
 
 
 def test_verify_all_corrupted_envelope_hook(tmp_path):
-    cfg = small_family_cfg(tmp_path, "vc", corrupt_envelope_exponent=-1.0)
+    # a positive bias makes the envelope too tight, a false bound, which the
+    # window's lower end rejects; a negative one only loosens a true bound
+    cfg = small_family_cfg(tmp_path, "vc", corrupt_envelope_exponent=1.0)
     assert run(["verify-all", "--config", str(cfg)]) == 2
+    checks = json.loads((tmp_path / "vc" / "summary.json").read_text())["checks"]
+    assert checks["modulus-envelope"]["passed"] == 0
 
 
 def test_verify_all_empty_family(tmp_path):

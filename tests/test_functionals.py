@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import polygauss as pg
 from polygauss.errors import InputError, ResolutionError
 from polygauss.functionals import (
     ModulusCurve,
+    _shift_moduli,
     boundary_correction,
     density_budget,
     geometric_grid,
+    max_shift_index,
 )
 
 from oracles import oracle_density
@@ -118,8 +122,8 @@ def test_dual_modulus_matches_vertex_enumeration_small_grids():
 
 def test_dual_modulus_flat_past_the_grid_span():
     # The objective reads only differences of phi, which span at most
-    # (size - 1) * step; once the box holds that span, sigma is the closed
-    # form step * (sum of all values but the last), every difference at +step.
+    # size * step; once the box holds that span, sigma is the closed form
+    # step * (sum of all values), every difference at +step.
     from polygauss.functionals import _telescoped_weights
     from polygauss.lp import solve_chain_lp
 
@@ -128,8 +132,8 @@ def test_dual_modulus_flat_past_the_grid_span():
     for step in (1e-3, 2.5e-229):
         vals = rng.exponential(size=size)
         rho = pg.GriddedDensity(0.0, step, vals / (vals.sum() * step))
-        closed = step * float(rho.values[:-1].sum())
-        probes = [0.5 * (size - 1) * step, (size - 1) * step, 0.5, 10.0]
+        closed = step * float(rho.values.sum())
+        probes = [0.5 * size * step, size * step, 0.5, 10.0]
         for eps in probes:
             assert pg.dual_modulus(rho, eps) == pytest.approx(closed, rel=1e-12)
         curve = pg.dual_modulus_curve(rho, probes)
@@ -137,6 +141,19 @@ def test_dual_modulus_flat_past_the_grid_span():
         if step == 1e-3:  # here the unclamped LP is accurate, and flat too
             w = _telescoped_weights(rho.values)
             assert solve_chain_lp(w, 10.0, step) == pytest.approx(closed, rel=1e-9)
+
+
+def test_dual_modulus_reads_the_last_cell():
+    # a density whose whole mass sits in the last cell: the LP has a node past
+    # that cell, so phi can rise across it, as it can once an empty cell follows
+    size, step = 16, 0.1
+    spike = np.zeros(size)
+    spike[-1] = 1.0 / step
+    rho = pg.GriddedDensity(0.0, step, spike)
+    padded = pg.GriddedDensity(0.0, step, np.append(spike, 0.0))
+    for eps in (0.2, 0.5):
+        assert pg.dual_modulus(rho, eps) > 0.0
+        assert pg.dual_modulus(rho, eps) == pg.dual_modulus(padded, eps)
 
 
 def test_dual_curve_monotone_concave(normal_oracle):
@@ -199,27 +216,124 @@ def test_equivalence_near_dirac_flags_budget():
     assert report.extras["budget_base"] > 0.01  # large budget is surfaced
 
 
-# --- small-set probability --------------------------------------------------------
+def test_equivalence_rows_are_the_lower_half(normal_oracle):
+    sigma = pg.dual_modulus_curve(normal_oracle, [0.05, 0.1])
+    report = pg.modulus_equivalence_check(normal_oracle, sigma)
+    omega_2eps = pg.shift_modulus_curve(normal_oracle, 2.0 * sigma.eps).values
+    assert [r.eps for r in report.rows] == list(sigma.eps)
+    assert [r.lhs for r in report.rows] == list(0.5 * omega_2eps)
+    assert [r.rhs for r in report.rows] == list(sigma.values)
 
 
-def test_small_set_gaussian(x1_samples):
-    h = pg.histogram_density(x1_samples, 400)
-    cdf = pg.ecdf(x1_samples)
-    report = pg.small_set_check(cdf, h, [(-0.05, 0.05)])
-    row = report.rows[0]
-    assert row.lhs == pytest.approx(2 * ndtr(0.05) - 1, abs=0.002)
-    assert report.verdict
-    with pytest.raises(InputError, match="out of order"):
-        pg.small_set_check(cdf, h, [(0.05, -0.05)])
+# Nonnegative cell vectors on four steps, normalised to unit mass, and
+# probes eps = t * step: the vectors are what any histogram or closed form
+# can hand the moduli.
+CELLS = st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=200).filter(
+    lambda v: sum(v) > 0)
+STEPS = st.sampled_from([1e-3, 0.01, 0.05, 0.2])
+
+
+def grid_density(cells, step):
+    v = np.array(cells)
+    return pg.GriddedDensity(0.0, step, v / (v.sum() * step))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cells=CELLS, step=STEPS, t=st.floats(2.0, 500.0))
+def test_dual_modulus_below_proved_multiple_of_shift_modulus(cells, step, t):
+    # sigma(eps) <= (1 + eps/(k step)) omega(k step), k = floor(eps/step) >= 2,
+    # with zero budget: a theorem of the grid objects (CHANGES.md has the proof)
+    rho = grid_density(cells, step)
+    eps = t * step
+    k = max_shift_index(rho, eps)
+    bound = (1.0 + eps / (k * step)) * _shift_moduli(rho, [k])[0]
+    assert pg.dual_modulus(rho, eps) <= bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cells=CELLS, step=STEPS, t=st.floats(2.0, 500.0))
+def test_dual_modulus_above_half_the_shift_modulus(cells, step, t):
+    # omega(2 eps)/2 <= sigma(eps) within float rounding, the check's row with
+    # zero budget; it needs the LP node past the last cell
+    rho = grid_density(cells, step)
+    eps = t * step
+    omega = _shift_moduli(rho, [max_shift_index(rho, 2.0 * eps)])[0]
+    assert 0.5 * omega <= pg.dual_modulus(rho, eps) + 1e-12
+
+
+# --- small-ball law ----------------------------------------------------------------
+
+
+def _samples(kind: int, n: int, seed: int) -> pg.SampleSet:
+    """Normals, atoms with a little spread, a spike plus normals, or Cauchy draws."""
+    r = np.random.default_rng(seed)
+    if kind == 0:
+        v = r.normal(size=n)
+    elif kind == 1:
+        v = r.integers(0, 5, n) + (r.uniform(size=n) < 0.3) * r.normal(size=n)
+    elif kind == 2:
+        v = np.where(r.uniform(size=n) < 0.5, 0.0, r.normal(size=n))
+    else:
+        v = r.standard_cauchy(size=n)
+    return pg.SampleSet(v, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), size=st.integers(16, 400),
+       t=st.floats(2.0, 480.0), u=st.floats(0.0, 1.0))
+def test_interval_mass_below_dual_modulus(kind, seed, size, t, u):
+    # P(a < W <= b) <= sigma(rho, b - a) + clipped mass for b - a >= 2 step,
+    # ECDF and histogram of one sample: the clamp phi = clamp(x - (a+b)/2,
+    # -L/2, L/2) on the cells (a, b] meets (CHANGES.md).  The 1e-12 is float
+    # rounding where (a, b] holds every value.
+    s = _samples(kind, 16_000, seed)  # enough that Cauchy tails clip under 1e-3
+    rho = pg.histogram_density(s, size)
+    cdf = pg.ecdf(s)
+    length = min(t, 1.2 * size) * rho.step
+    a = rho.lo - length + u * (rho.hi - rho.lo + length)
+    p_hat = cdf(a + length) - cdf(a)
+    assert p_hat <= pg.dual_modulus(rho, length) + rho.clipped_mass + 1e-12
+
+
+def centred_density(s: pg.SampleSet, size: int, half_span: float) -> pg.GriddedDensity:
+    """Histogram of ``s`` on an odd cell count whose middle cell is centred
+    on 0, the densest cell of the laws of x1^m."""
+    step = 2.0 * half_span / size
+    return pg.histogram_density(s, size, (-0.5 * size * step, step))
+
+
+def test_small_set_gaussian():
+    # x1^m at c = 0 for m = 1, 2, 3: P(|x1|^m <= eps/2) ~ 2 phi(0) (eps/2)^(1/m),
+    # the envelope's exponent, so the ratio is flat on the symmetric window;
+    # an exponent biased by +-0.5 tilts it by -+0.5 and fails
+    for m in (1, 2, 3):
+        s = pg.sample(pg.monomial(1, (m,)), 10**6, seed=40 + m)
+        rho = centred_density(s, 401, 4.5 ** m)
+        params = pg.EnvelopeParams(m=m, d=m)
+        report = pg.small_set_check(pg.ecdf(s), rho, params)
+        # x1's top is flat, so noise picks its densest cell among those near 0
+        assert abs(report.extras["centre"]) <= (0.1 if m == 1 else 0.0)
+        assert report.verdict, (m, report.extras["ratio_slope"])
+        assert abs(report.extras["ratio_slope"]) <= 0.1
+        assert report.rows[0].lhs == pytest.approx(1000 / s.count, rel=0.01)
+        assert report.rows[-1].eps == pytest.approx(2.0 * rho.step)
+        for bias in (0.5, -0.5):
+            bad = pg.small_set_check(pg.ecdf(s), rho, params, exponent_bias=bias)
+            assert not bad.verdict
+            assert bad.extras["ratio_slope"] == pytest.approx(
+                report.extras["ratio_slope"] - bias, abs=1e-9)
 
 
 def test_small_set_trivial_cases(x1_samples):
-    h = pg.histogram_density(x1_samples, 400)
-    cdf = pg.ecdf(x1_samples)
-    span = h.hi - h.lo
-    report = pg.small_set_check(cdf, h, [(h.lo, h.lo + span), (0.25, 0.25)])
-    assert report.verdict
-    assert report.rows[1].lhs == 0.0  # empty interval
+    params = pg.EnvelopeParams(m=1, d=1)
+    # a coarse grid: the 1000-sample ball is already wider than 2 * step
+    few = pg.SampleSet(x1_samples.values[:20_000], x1_samples.seed)
+    with pytest.raises(ResolutionError, match="fewer than 3"):
+        pg.small_set_check(pg.ecdf(few), pg.histogram_density(few, 400), params)
+    # fewer samples than the ball needs
+    tiny = pg.SampleSet(x1_samples.values[:500], x1_samples.seed)
+    with pytest.raises(ResolutionError, match="fewer than 3"):
+        pg.small_set_check(pg.ecdf(tiny), pg.histogram_density(tiny, 16), params)
 
 
 # --- envelope ---------------------------------------------------------------------
@@ -297,6 +411,15 @@ def test_degree_envelope_scaling_compensation(normal_oracle):
     assert abs(c1 - c2) / c1 <= 0.05
 
 
+def test_degree_envelope_fails_a_slope_below_its_floor():
+    # sigma ~ eps^(1/2) is too rough for degree 1, whose floor is 1 - 0.1
+    eps = np.geomspace(0.01, 0.3, 12)
+    report = pg.degree_envelope_check(1.0, ModulusCurve(eps, eps ** 0.5), d=1)
+    assert report.extras["slope"] == pytest.approx(0.5)
+    assert not report.verdict
+    assert report.worst_margin == pytest.approx(0.5 - 0.9)
+
+
 def test_degree_envelope_rejects_zero_variance(normal_oracle):
     eps = np.geomspace(0.02, 0.3, 6)
     curve = pg.dual_modulus_curve(normal_oracle, eps)
@@ -308,7 +431,7 @@ def row_margin(report):
     return min(r.rhs - r.lhs for r in report.rows)
 
 
-def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle):
+def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, x1_samples):
     curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
     p = pg.EnvelopeParams(m=1, d=1)
     for lo, hi in [(-0.15, 0.15), (-0.6, 1.0)]:
@@ -317,6 +440,11 @@ def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle):
             s = report.extras["ratio_slope"]
             assert report.worst_margin == min(hi - s, s - lo)
             assert report.verdict == (report.worst_margin >= 0)
+    h = pg.histogram_density(x1_samples, 400)
+    for lo, hi in [(-0.15, 0.15), (-0.6, math.inf)]:
+        report = pg.small_set_check(pg.ecdf(x1_samples), h, p, (lo, hi))
+        s = report.extras["ratio_slope"]
+        assert report.worst_margin == min(hi - s, s - lo)
 
 
 def test_degree_envelope_margin_is_slope_above_floor(normal_oracle, chisq_oracle):
@@ -327,15 +455,12 @@ def test_degree_envelope_margin_is_slope_above_floor(normal_oracle, chisq_oracle
 
 
 def test_row_check_margins_are_smallest_rhs_minus_lhs(
-    normal_oracle, chisq_oracle, product_oracle, x1_samples
+    normal_oracle, chisq_oracle, product_oracle
 ):
     for rho in (normal_oracle, chisq_oracle, product_oracle):
         probes = pg.default_probe_grid(rho)
         report = pg.modulus_equivalence_check(rho, pg.dual_modulus_curve(rho, probes))
         assert report.worst_margin == row_margin(report)
-    h = pg.histogram_density(x1_samples, 400)
-    report = pg.small_set_check(pg.ecdf(x1_samples), h, [(-0.05, 0.05), (-0.5, 0.5)])
-    assert report.worst_margin == row_margin(report)
     near = oracle_density("normal", -4.0, 10.0, 3584, mu=0.0)
     far = oracle_density("normal", -4.0, 10.0, 3584, mu=6.0)
     report = pg.tv_vs_kr_check(near, far, np.geomspace(0.05, 0.9, 6))

@@ -68,7 +68,7 @@ def test_negated_float_weights_give_the_same_bits(size):
 
 # float.hex() of solve_chain_lp on fixed problems, so that a kernel edit that
 # reorders float operations fails here.  Any rewrite of the kernel must keep
-# these bits: every equivalence, small-set and TV-KR output depends on them.
+# these bits: every equivalence, degree-envelope and TV-KR output depends on them.
 LP_PINS = [
     ("normal", 0.01, "0x1.964f094dd312bp+1"),
     ("normal", 0.3, "0x1.821d8c2714088p+4"),
