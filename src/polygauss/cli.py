@@ -73,10 +73,11 @@ EXIT_INPUT = 3
 EXIT_RESOLUTION = 4
 
 # Ratio-trend window of the Monte Carlo scaling laws (modulus and small
-# ball).  The law is an upper bound, so only a ratio that grows as eps
-# falls refutes it; a ratio that falls means a smoother law, and the log
-# bracket's collapse near the leading magnitude tilts it upward too.
-# Oracle-grade small-eps curves are held to the tight symmetric window.
+# ball).  The laws are upper bounds, so only a ratio that grows as eps falls
+# refutes one.  Omega and the small-ball mass never fall as eps grows, so
+# below the leading magnitude no ratio slope is under -1/m: the lower end
+# can fail an m = 1 law only.  Oracle-grade small-eps curves are held to the
+# tight symmetric window.
 MC_SLOPE_RANGE = (-0.6, math.inf)
 
 CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's samples

@@ -52,7 +52,7 @@ from .errors import InputError, ResolutionError
 from .lp import solve_chain_lp
 
 MAX_GRID_POINTS = 10_000  # most points of a probe or t grid; the default t grid has 81
-BALL_SAMPLES = 1000  # samples in the smallest ball small_set_check probes
+SMALL_BALLS = (1_000, 10_000)  # samples in the smallest and largest ball small_set_check probes
 
 
 def log_bracket(u: float, exponent: float) -> float:
@@ -349,14 +349,15 @@ def scaling_report(
     """Verdict of a scaling law vals <= C * env with C depending only on (m, d).
 
     Fits C as the largest vals / env, and tabulates (x, val, C * env) with
-    zero budget.  Those rows hold by construction, up to rounding, so the
-    verdict does not read them.  The margin is the log-log trend ``slope``'s
+    zero budget.  Those rows hold by construction, so the verdict does not
+    read them; a rhs is raised to its val where rounding of (val / env) * env
+    would put it a unit below.  The margin is the log-log trend ``slope``'s
     distance to the nearer end of the closed ``window`` (an infinite end
     leaves that side open), inf when ``slope`` is None because there is no
     trend to test.  Passes when C is finite and the margin is not negative.
     """
     c_hat = float((vals / env).max())
-    rows = tuple(ProbeRow(float(a), float(v), c_hat * float(e), 0.0)
+    rows = tuple(ProbeRow(float(a), float(v), max(c_hat * float(e), float(v)), 0.0)
                  for a, v, e in zip(x, vals, env))
     lo, hi = window
     margin = math.inf if slope is None else min(hi - slope, slope - lo)
@@ -374,11 +375,12 @@ def envelope_check(
 
     Passes when the fitted constant is finite and the log-log trend of the
     ratio, fitted over every positive point of ``curve``, stays inside
-    ``slope_range``: a strong trend either way means the claimed exponent is
-    wrong for this curve.  Oracle-grade curves restricted to small eps sit
-    near zero, which the default symmetric window holds them to; Monte Carlo
-    curves probed up to eps ~ 1 need a wider window because the log bracket
-    collapses as eps approaches the leading magnitude.  Alongside that
+    ``slope_range``.  The default symmetric window tests that 1/m is sharp:
+    oracle-grade curves of the extremal laws, restricted to small eps, sit
+    near zero.  Monte Carlo curves of arbitrary members are judged on a
+    one-sided window (``cli.MC_SLOPE_RANGE``): the law is an upper bound, so
+    a ratio that falls as eps shrinks (a smoother law) agrees with it, and
+    only one that grows refutes the exponent.  Alongside that
     ``ratio_slope``, the extras hold ``slope_loglog``, the raw log-log slope
     (below 1/m when d > m, because the log factor is real), and
     ``slope_adjusted``, the slope with the log factor divided out, which
@@ -429,33 +431,42 @@ def small_set_check(
     cdf: EmpiricalCdf,
     rho: GriddedDensity,
     p: EnvelopeParams,
-    slope_range: tuple[float, float] = (-0.15, 0.15),
-    exponent_bias: float = 0.0,
+    slope_range: tuple[float, float],
 ) -> BoundReport:
-    """Small-ball law: p(eps), the empirical mass of (c - eps/2, c + eps/2]
-    around the centre c of the densest cell of ``rho``, against the
-    envelope, judged as ``envelope_check`` judges the modulus.
+    """Small-ball law: p(eps), the empirical mass of (c - eps/2, c + eps/2],
+    against the envelope, judged as ``envelope_check`` judges the modulus.
 
-    Probes run 12 a decade from the smallest eps whose ball holds
-    ``BALL_SAMPLES`` samples, below which p is mostly noise, up to the
-    moduli's probe floor 2 * step, so they reach below the grid.  Fewer than
-    3 probes is a resolution error.
+    c is the midpoint of the narrowest run of ``SMALL_BALLS[0]`` consecutive
+    sorted samples that meets the densest cell of ``rho``: the sample's
+    sharpest peak there, not the cell's centre, which can sit half a step
+    off it.  Probes run 12 a decade from that run's width, below which p is
+    mostly noise, up to the ball around c that holds ``SMALL_BALLS[1]``
+    samples, so both ends come from the sample and they reach below the grid.
+    Fewer samples than that, or fewer than 3 probes, is a resolution error.
     """
-    c = rho.lo + (int(rho.values.argmax()) + 0.5) * rho.step
-    i = int(np.searchsorted(cdf.sorted, c))
-    # the BALL_SAMPLES values nearest c lie within that many places of i
-    near = np.sort(np.abs(cdf.sorted[max(i - BALL_SAMPLES, 0):i + BALL_SAMPLES] - c))
-    lo = 2.0 * float(near[BALL_SAMPLES - 1]) if near.size >= BALL_SAMPLES else math.inf
-    hi = 2.0 * rho.step
+    small, large = SMALL_BALLS
+    s = cdf.sorted
+    if s.size < large:
+        raise ResolutionError(f"small-ball law needs {large} samples, got {s.size}")
+    j = int(rho.values.argmax())
+    a, b = np.searchsorted(s, [rho.lo + j * rho.step, rho.lo + (j + 1) * rho.step])
+    # the runs that meet the cell start from a - small + 1 up to b - 1
+    k0, k1 = max(int(a) - small + 1, 0), min(int(b), s.size - small + 1)
+    widths = s[k0 + small - 1:k1 + small - 1] - s[k0:k1]
+    k = k0 + int(widths.argmin())
+    lo, c = float(widths[k - k0]), 0.5 * (s[k] + s[k + small - 1])
+    # the `large` values nearest c lie within that many places of c's rank
+    i = int(np.searchsorted(s, c))
+    hi = 2.0 * float(np.sort(np.abs(s[max(i - large, 0):i + large] - c))[large - 1])
     eps = geometric_grid(lo, hi, 12) if 0.0 < lo < hi else ()
     if len(eps) < 3:
-        raise ResolutionError(f"small-ball probes from {lo:g} ({BALL_SAMPLES} samples) "
-                              f"to 2*step={hi:g} are fewer than 3")
+        raise ResolutionError(f"small-ball probes from {lo:g} ({small} samples) "
+                              f"to {hi:g} ({large} samples) are fewer than 3")
     prob = cdf(c + eps / 2) - cdf(c - eps / 2)
-    env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
+    env = np.array([modulus_envelope(p, e) for e in eps])
     slope = ols_slope(np.log(eps), np.log(prob / env))
     return scaling_report("small-set", eps, prob, env, slope, slope_range,
-                          extras={"centre": c, "ratio_slope": slope})
+                          extras={"centre": float(c), "ratio_slope": slope})
 
 
 # --- Distances ----------------------------------------------------------------

@@ -234,6 +234,16 @@ def test_verify_all_corrupted_envelope_hook(tmp_path):
     assert checks["modulus-envelope"]["passed"] == 0
 
 
+@pytest.mark.parametrize("samples, grid", [(20_000, 1000), (50_000, 2000)])
+def test_verify_all_small_ball_probes_need_no_fine_sample(tmp_path, samples, grid):
+    # the small-ball probes run between two sample counts, so few samples on
+    # a fine grid leave them their range (an upper end of 2 * step did not)
+    cfg = small_family_cfg(tmp_path, "vs", samples=samples, grid=grid)
+    assert run(["verify-all", "--config", str(cfg)]) == 0
+    checks = json.loads((tmp_path / "vs" / "summary.json").read_text())["checks"]
+    assert (checks["small-set"]["passed"], checks["small-set"]["total"]) == (2, 2)
+
+
 def test_verify_all_empty_family(tmp_path):
     cfg = small_family_cfg(tmp_path, "ve")
     data = json.loads(cfg.read_text())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import polygauss as pg
+from polygauss.cli import MC_SLOPE_RANGE
 from polygauss.errors import InputError, ResolutionError
 from polygauss.functionals import (
     ModulusCurve,
@@ -302,38 +303,57 @@ def centred_density(s: pg.SampleSet, size: int, half_span: float) -> pg.GriddedD
     return pg.histogram_density(s, size, (-0.5 * size * step, step))
 
 
+SYMMETRIC = (-0.15, 0.15)
+
+
 def test_small_set_gaussian():
     # x1^m at c = 0 for m = 1, 2, 3: P(|x1|^m <= eps/2) ~ 2 phi(0) (eps/2)^(1/m),
-    # the envelope's exponent, so the ratio is flat on the symmetric window;
-    # an exponent biased by +-0.5 tilts it by -+0.5 and fails
+    # the envelope's exponent, so the ratio is flat on the symmetric window.
+    # A wrong power cap moves the exponent: x1 claimed m = 2 by -0.5, x1^2
+    # claimed m = 1 by +0.5, x1^3 claimed m = 1 by +2/3; each fails.
+    wrong = {1: 2, 2: 1, 3: 1}
     for m in (1, 2, 3):
         s = pg.sample(pg.monomial(1, (m,)), 10**6, seed=40 + m)
         rho = centred_density(s, 401, 4.5 ** m)
-        params = pg.EnvelopeParams(m=m, d=m)
-        report = pg.small_set_check(pg.ecdf(s), rho, params)
-        # x1's top is flat, so noise picks its densest cell among those near 0
-        assert abs(report.extras["centre"]) <= (0.1 if m == 1 else 0.0)
+        report = pg.small_set_check(pg.ecdf(s), rho, pg.EnvelopeParams(m=m, d=m), SYMMETRIC)
+        # x1's top is flat, so noise picks its sharpest run among those near 0
+        assert abs(report.extras["centre"]) <= (0.1 if m == 1 else report.rows[0].eps)
         assert report.verdict, (m, report.extras["ratio_slope"])
         assert abs(report.extras["ratio_slope"]) <= 0.1
         assert report.rows[0].lhs == pytest.approx(1000 / s.count, rel=0.01)
-        assert report.rows[-1].eps == pytest.approx(2.0 * rho.step)
-        for bias in (0.5, -0.5):
-            bad = pg.small_set_check(pg.ecdf(s), rho, params, exponent_bias=bias)
-            assert not bad.verdict
-            assert bad.extras["ratio_slope"] == pytest.approx(
-                report.extras["ratio_slope"] - bias, abs=1e-9)
+        assert report.rows[-1].lhs == pytest.approx(10_000 / s.count, rel=0.01)
+        w = wrong[m]
+        bad = pg.small_set_check(pg.ecdf(s), rho, pg.EnvelopeParams(m=w, d=w), SYMMETRIC)
+        assert not bad.verdict
+        assert bad.extras["ratio_slope"] == pytest.approx(
+            report.extras["ratio_slope"] + 1 / m - 1 / w, abs=1e-9)
+
+
+def test_small_set_one_sided_window_fails_a_false_m1_claim():
+    # x1^3 has exponent 1/3: claimed m = 1, its ratio slope is -2/3, below
+    # the Monte Carlo window's lower end -0.6; claimed m = 3 it passes
+    s = pg.sample(pg.monomial(1, (3,)), 10**6, seed=51)
+    rho, cdf = centred_density(s, 401, 4.5 ** 3), pg.ecdf(s)
+    bad = pg.small_set_check(cdf, rho, pg.EnvelopeParams(m=1, d=1), MC_SLOPE_RANGE)
+    assert not bad.verdict and bad.worst_margin < 0
+    assert pg.small_set_check(cdf, rho, pg.EnvelopeParams(m=3, d=3), MC_SLOPE_RANGE).verdict
 
 
 def test_small_set_trivial_cases(x1_samples):
     params = pg.EnvelopeParams(m=1, d=1)
-    # a coarse grid: the 1000-sample ball is already wider than 2 * step
+    # both ends come from the sample, so a coarse grid on a small one works
     few = pg.SampleSet(x1_samples.values[:20_000], x1_samples.seed)
+    report = pg.small_set_check(pg.ecdf(few), pg.histogram_density(few, 400), params,
+                                MC_SLOPE_RANGE)
+    assert report.verdict and len(report.rows) >= 12
+    # fewer samples than the largest ball holds
+    tiny = pg.SampleSet(x1_samples.values[:9_999], x1_samples.seed)
+    with pytest.raises(ResolutionError, match="needs 10000 samples"):
+        pg.small_set_check(pg.ecdf(tiny), pg.histogram_density(tiny, 16), params, SYMMETRIC)
+    # an atom of 1000 samples: the smallest ball has width 0
+    atom = pg.SampleSet(np.concatenate([np.zeros(1000), x1_samples.values[:20_000]]), 0)
     with pytest.raises(ResolutionError, match="fewer than 3"):
-        pg.small_set_check(pg.ecdf(few), pg.histogram_density(few, 400), params)
-    # fewer samples than the ball needs
-    tiny = pg.SampleSet(x1_samples.values[:500], x1_samples.seed)
-    with pytest.raises(ResolutionError, match="fewer than 3"):
-        pg.small_set_check(pg.ecdf(tiny), pg.histogram_density(tiny, 16), params)
+        pg.small_set_check(pg.ecdf(atom), pg.histogram_density(atom, 64), params, SYMMETRIC)
 
 
 # --- envelope ---------------------------------------------------------------------
@@ -380,6 +400,18 @@ def test_envelope_check_catches_corrupt_exponent(normal_oracle):
     assert good.verdict
     bad = pg.envelope_check(curve, p, exponent_bias=-0.5)
     assert not bad.verdict
+
+
+def test_envelope_mc_window_fails_a_false_m1_claim():
+    # the Monte Carlo window's lower end -0.6 lies above -1, the least ratio
+    # slope of an m = 1 modulus that grows with eps: the claim m = 1 fails
+    # the curve eps^(1/3) and holds eps and the smoother eps^2.  At m >= 2
+    # the least slope -1/m is above -0.6, so no curve fails (CHANGES.md).
+    eps = np.geomspace(0.01, 0.5, 13)
+    p = pg.EnvelopeParams(m=1, d=1)
+    verdicts = [pg.envelope_check(ModulusCurve(eps, eps ** a), p, MC_SLOPE_RANGE).verdict
+                for a in (1 / 3, 1.0, 2.0)]
+    assert verdicts == [False, True, True]
 
 
 def test_degree_envelope_gaussian(normal_oracle):
