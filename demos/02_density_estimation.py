@@ -3,7 +3,8 @@
 Three laws with known densities anchor the estimators: X1 (standard normal),
 X1^2 (density e^{-x/2}/sqrt(2 pi x), singular at 0), and X1*X2 (a Bessel-type
 density, log-singular at 0).  Histograms are compared to cell-averaged
-closed forms in L1, next to the histogram's own noise estimate.
+closed forms in L1, next to the L1 noise the histogram's counts are expected
+to carry.
 """
 
 import sys
@@ -32,7 +33,7 @@ for name, f, kind in cases:
     print(f"{name:8s} histogram L1 error {l1_hist:.4f}")
     print(f"{'':8s} grid [{hist.lo:+.2f}, {hist.hi:+.2f}] step {hist.step:.4f} "
           f"mass {hist.mass:.4f} clipped {hist.clipped_mass:.1e} "
-          f"noise estimate {hist.l1_noise:.4f}")
+          f"expected noise {hist.l1_noise:.4f}")
 
 # empirical CDF interval probabilities
 cdf = pg.ecdf(pg.sample(pg.monomial(1, (2,)), N, seed=42))

@@ -42,9 +42,10 @@ value: the stream is the one a single (chunk, owned variables) draw would
 give.
 
 A ``SampleSet`` sorts its values at most once (``SampleSet.sorted``).  The
-grid's tail quantiles are read from that sort by rank, and the empirical
-CDF and the empirical characteristic function (``charfn.ecf_modulus``) use
-the same sorted array.
+grid's tail quantiles are read from that sort by rank, the histogram's cell
+counts are differences of the positions of the cell edges in it, and the
+empirical CDF and the empirical characteristic function
+(``charfn.ecf_modulus``) use the same sorted array.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ BLOCK_BYTES = 1 << 20  # bytes of normals drawn at a time; a block has at least 
 # most chunks drawn at once: the CPUs this process may run on
 THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-HIST_BLOCK = 1 << 15  # values binned at a time, so the bin buffers stay in cache
 MASS_TOL = 1e-3
 TAIL_QUANTILE = 1e-4
 
@@ -184,8 +184,9 @@ class GriddedDensity:
     a closed form (the tests' ``oracles.oracle_density``).
 
     clipped_mass: probability mass outside the grid (tail truncation).
-    l1_noise:     Monte Carlo L1 noise estimate from seed-split halves
-                  (zero for closed-form densities).
+    l1_noise:     Monte Carlo L1 noise, an estimate of the expected L1
+                  distance of the cell masses from their means (zero for
+                  closed-form densities).
     """
 
     lo: float
@@ -260,43 +261,16 @@ def quantile_grid(sets: Sequence[SampleSet], size: int) -> tuple[float, float]:
     return float(q_lo - 2.0 * step), float(step)
 
 
-def _half_counts(
-    values: np.ndarray, lo: float, step: float, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cell counts of the two halves of ``values``; their sum is the count
-    of the whole sample (integers, so exact in float64).  Cell indices are
-    shifted by one and clipped to [0, size + 1] before the cast, so a value
-    any distance off the grid lands in an end bin, which is dropped, and
-    never in an integer the cast cannot hold.  Values are binned
-    ``HIST_BLOCK`` at a time through one float and one int buffer, so no
-    temporary grows with the sample."""
-    buf = np.empty(min(HIST_BLOCK, values.shape[0]))
-    idx = np.empty(buf.shape[0], dtype=np.int64)
-    half = values.shape[0] // 2
-    out = []
-    for part in (values[:half], values[half:]):
-        counts = np.zeros(size + 2, dtype=np.int64)
-        for start in range(0, part.shape[0], HIST_BLOCK):
-            block = part[start:start + HIST_BLOCK]
-            x, k = buf[:block.shape[0]], idx[:block.shape[0]]
-            np.subtract(block, lo, out=x)
-            x /= step
-            np.floor(x, out=x)
-            x += 1.0
-            np.clip(x, 0.0, size + 1.0, out=x)
-            k[:] = x
-            counts += np.bincount(k, minlength=size + 2)
-        out.append(counts[1:-1].astype(np.float64))
-    return tuple(out)
-
-
 def histogram_density(
     s: SampleSet, size: int = 400, grid: tuple[float, float] | None = None
 ) -> GriddedDensity:
     """Histogram estimate on the ``size`` cells of ``grid`` = (lo, step),
     by default ``quantile_grid`` of the sample itself; mass falling outside is
-    reported as ``clipped_mass``.  The L1 noise estimate comes from
-    histogramming the two halves of the sample separately.
+    reported as ``clipped_mass``.  Cell i counts the values v with
+    ``edges[i] <= v < edges[i + 1]``, ``edges = lo + step * arange(size + 1)``,
+    found by searching the edges in the sample's one sort.  The L1 noise
+    estimate is the normal approximation sqrt(2 c (1 - c/N) / pi) of each
+    count's mean absolute deviation, summed over the cells and divided by N.
     """
     if size < 16:
         raise InputError(f"need at least 16 cells, got {size}")
@@ -305,14 +279,10 @@ def histogram_density(
     glo, step = quantile_grid([s], size) if grid is None else grid
     if not math.isfinite(1.0 / step):
         raise ResolutionError(f"grid step {step:g} is too fine: 1/step overflows a float")
-    c1, c2 = _half_counts(s.values, glo, step, size)
-    counts = c1 + c2
+    counts = np.diff(np.searchsorted(s.sorted, glo + step * np.arange(size + 1)))
     n = s.count
     clipped = 1.0 - counts.sum() / n
-    half = n // 2
-    h1 = c1 / (half * step)
-    h2 = c2 / ((n - half) * step)
-    noise = 0.5 * step * float(np.abs(h1 - h2).sum())
+    noise = float(np.sqrt(2.0 * counts * (1.0 - counts / n) / math.pi).sum()) / n
     return GriddedDensity(
         glo, step, counts / (n * step), clipped_mass=float(clipped), l1_noise=noise
     )

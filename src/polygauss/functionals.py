@@ -35,9 +35,11 @@ unit box.  They are linked through
 which, combined with the envelope, bounds d_TV by a power of d_KR.  Every
 pointwise verdict carries an explicit error budget: twice the truncated tail
 mass, plus a step * total-variation discretization proxy, plus the Monte
-Carlo L1 noise estimate, scaled by the inequality's coefficients.  A scaling
-law is judged by its fitted constant and the trend of its ratio to the
-envelope alone (``scaling_report``).
+Carlo L1 noise the histogram's counts are expected to carry (the normal
+approximation of each binomial count's mean absolute deviation), scaled by
+the inequality's coefficients.  A scaling law is judged by its fitted
+constant and the trend of its ratio to the envelope alone
+(``scaling_report``).
 """
 
 from __future__ import annotations
@@ -183,7 +185,9 @@ class BoundReport:
 
 def density_budget(rho: GriddedDensity) -> float:
     """Additive error allowance for one estimated density:
-    2 * truncated mass + step * total variation proxy + Monte Carlo L1 noise."""
+    2 * truncated mass + step * total variation proxy + the expected Monte
+    Carlo L1 noise of its counts (``GriddedDensity.l1_noise``, a point
+    estimate with no stated coverage)."""
     return 2.0 * rho.clipped_mass + rho.step * rho.total_variation() + rho.l1_noise
 
 

@@ -23,6 +23,9 @@ checks.
   ``product_normal_pdf`` is the density of X1*X2 by quadrature.  They use
   scipy's ``ndtr`` and ``roots_legendre`` and live here, not in the
   package, so that no command pays for importing scipy.
+* ``binomial_mean_abs_deviation`` is de Moivre's exact E|X - np| of a
+  binomial count (``histogram_density``'s ``l1_noise`` must approach the
+  sum of these over the cells, divided by n).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import ndtr, roots_legendre
+from scipy.special import gammaln, ndtr, roots_legendre, xlog1py, xlogy
 
 from polygauss.density import GriddedDensity, SampleSet
 from polygauss.errors import InputError
@@ -215,6 +218,17 @@ def class_exponents(params: ClassParams) -> list[tuple[int, ...]]:
         for exps in itertools.product(range(params.m + 1), repeat=params.n)
         if 0 < sum(exps) <= params.d
     ]
+
+
+def binomial_mean_abs_deviation(n: int, p) -> np.ndarray:
+    """E|X - np| for X ~ Binomial(n, p), elementwise in p: de Moivre's
+    2 nu C(n, nu) p^nu (1 - p)^(n - nu + 1) with nu = floor(np) + 1
+    (Diaconis & Zabell 1991, Statist. Sci. 6(3)), in log-gamma form so that
+    n in the millions does not overflow.  It is 0 at p = 0 and p = 1."""
+    p = np.asarray(p, dtype=np.float64)
+    nu = np.floor(n * p) + 1.0
+    log_choose = gammaln(n + 1.0) - gammaln(nu + 1.0) - gammaln(n - nu + 1.0)
+    return 2.0 * nu * np.exp(log_choose + xlogy(nu, p) + xlog1py(n - nu + 1.0, -p))
 
 
 # --- Closed-form reference densities ---------------------------------------

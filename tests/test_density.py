@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import k0, ndtr
+from scipy.stats import binom
 
 import polygauss as pg
 import polygauss.density as density
@@ -23,7 +24,7 @@ from polygauss.poly import (
     variable,
 )
 
-from oracles import oracle_density, product_normal_pdf
+from oracles import binomial_mean_abs_deviation, oracle_density, product_normal_pdf
 
 
 TWO_CHUNKS = SAMPLE_CHUNK + 12_345  # a sample size of two chunks, the second short
@@ -402,22 +403,12 @@ def test_sorted_is_one_read_only_sort(x1_samples):
         first[0] = 0.0
 
 
-def _three_pass_histogram(values, lo, step, size):
-    """Values, clipped mass and L1 noise with the whole sample and each half
-    binned separately."""
-
-    def bins(v):
-        idx = np.floor((v - lo) / step).astype(np.int64)
-        keep = (idx >= 0) & (idx < size)
-        return np.bincount(idx[keep], minlength=size).astype(np.float64)
-
-    n = values.shape[0]
-    half = n // 2
-    counts = bins(values)
-    h1 = bins(values[:half]) / (half * step)
-    h2 = bins(values[half:]) / ((n - half) * step)
-    noise = 0.5 * step * float(np.abs(h1 - h2).sum())
-    return counts / (n * step), 1.0 - counts.sum() / n, noise
+def _floor_binned_histogram(values, lo, step, size):
+    """Values and clipped mass with each value binned by floor((v - lo)/step)."""
+    idx = np.floor((values - lo) / step).astype(np.int64)
+    keep = (idx >= 0) & (idx < size)
+    counts = np.bincount(idx[keep], minlength=size).astype(np.float64)
+    return counts / (values.shape[0] * step), 1.0 - counts.sum() / values.shape[0]
 
 
 @pytest.mark.parametrize("name", ["x1_samples", "x1x2_samples"])
@@ -426,29 +417,41 @@ def test_histogram_one_pass_is_bit_identical(request, x1sq_samples, name, pooled
     s = request.getfixturevalue(name)
     grid = pg.quantile_grid([s, x1sq_samples], 400) if pooled else None
     rho = pg.histogram_density(s, 400, grid)
-    values, clipped, noise = _three_pass_histogram(s.values, rho.lo, rho.step, rho.size)
+    values, clipped = _floor_binned_histogram(s.values, rho.lo, rho.step, rho.size)
     assert rho.values.tobytes() == values.tobytes()
     assert rho.clipped_mass == clipped
-    assert rho.l1_noise == noise
     if pooled:
         assert rho.clipped_mass > 0.0  # the pooled grid cuts off part of s
 
 
-@pytest.mark.parametrize("block", [1000, density.HIST_BLOCK])
-def test_half_counts_in_blocks_match_the_whole_array(monkeypatch, block):
-    monkeypatch.setattr(density, "HIST_BLOCK", block)
+def test_histogram_counts_half_open_cells_at_the_computed_edges():
     lo, step, size = -1.0, 0.25, 16
     rng = np.random.default_rng(3)
-    edges = lo + step * np.arange(-1, size + 2)  # every cell edge, and one cell past each end
-    values = rng.permutation(np.concatenate(
-        [rng.normal(0.0, 2.0, 100_000), edges, [1e300, -1e300]]))
+    edges = lo + step * np.arange(size + 1)
+    outside = [lo - step, lo + step * (size + 1), 1e300, -1e300]  # one cell past each end
+    values = rng.permutation(np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        rng.normal(1.0, 0.5, 100_000), outside]))  # within 4 sd of the grid
     assert values.shape[0] % 2 == 1
-    idx = np.clip(np.floor((values - lo) / step) + 1.0, 0.0, size + 1.0).astype(np.int64)
-    half = values.shape[0] // 2
-    got = density._half_counts(values, lo, step, size)
-    for part, counts in zip((idx[:half], idx[half:]), got):
-        assert counts.dtype == np.float64
-        assert np.array_equal(counts, np.bincount(part, minlength=size + 2)[1:-1])
+    rho = pg.histogram_density(pg.SampleSet(values, 0), size, (lo, step))
+    want = np.array([np.count_nonzero((edges[i] <= values) & (values < edges[i + 1]))
+                     for i in range(size)])
+    assert np.array_equal(rho.values, want / (values.shape[0] * step))
+    off = np.count_nonzero((values < edges[0]) | (values >= edges[-1]))
+    assert rho.clipped_mass == pytest.approx(off / values.shape[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [400, 2048])
+def test_histogram_noise_is_the_expected_l1_deviation(x1_samples, size):
+    p = np.array([0.3, 0.5, 0.013])
+    k = np.arange(101)[:, None]
+    exact = (binom.pmf(k, 100, p) * np.abs(k - 100 * p)).sum(axis=0)
+    assert binomial_mean_abs_deviation(100, p) == pytest.approx(exact, rel=1e-12)
+    rho = pg.histogram_density(x1_samples, size)
+    n = x1_samples.count
+    cells = np.diff(ndtr(rho.lo + rho.step * np.arange(size + 1)))
+    want = binomial_mean_abs_deviation(n, cells).sum() / n
+    assert rho.l1_noise == pytest.approx(want, rel=0.01)
 
 
 def test_oracle_normal_point_value():

@@ -9,9 +9,10 @@ own, with ``PYTHONPATH`` set to that tree's ``src``; the two subprocesses run
 side by side.  For each invocation the exit code, standard output, standard
 error, the names of the files written and the sha256 of each of them must
 agree.  ``run_manifest.json`` is left out: it holds timings and a hash of the
-config, whose ``--out`` path differs.  Every difference is printed; the exit
-code is 1 if there is one and 0 otherwise.  A run takes a few minutes on two
-cores.
+config, whose ``--out`` path differs.  Every difference is printed, and for
+a JSON file that differs, so are the first ``JSON_DIFFS_SHOWN`` dotted key
+paths whose values differ, with both values; the exit code is 1 if there is
+a difference and 0 otherwise.  A run takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = "run_manifest.json"
+JSON_DIFFS_SHOWN = 10  # key paths printed per differing JSON file
+ABSENT = "<absent>"  # the value shown for a key one document lacks
 
 MODULUS_POLYS = {
     "x1": {"n": 1, "terms": [{"exp": [1], "coef": 1.0}]},
@@ -127,7 +130,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         "--samples", "3000000", "--seed", "2"]))
     # Quantile ranks at the edges of the sort: 4000 samples put the bottom
     # quantile between order statistics 0 and 1, and an odd sample count
-    # takes the median's middle value and splits the noise halves unequally.
+    # takes the median's middle value.
     runs.append(("modulus x1*x2 4000 samples", [
         "modulus", "--poly", json.dumps(MODULUS_POLYS["x1*x2"]), "--samples", "4000",
         "--grid", "400", "--seed", "1"]))
@@ -163,6 +166,35 @@ def data_files(outdir: Path) -> dict[str, str]:
         for p in sorted(outdir.iterdir())
         if p.name != MANIFEST
     }
+
+
+def json_differences(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """(dotted key path, value in a, value in b) of every place where the JSON
+    documents a and b differ; list items are keyed by their index."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = list(a) + [k for k in b if k not in a]
+        pairs = [(k, a.get(k, ABSENT), b.get(k, ABSENT)) for k in keys]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(i, x, y) for i, (x, y) in enumerate(zip(a, b))]
+    else:  # compared as text, so that NaN equals NaN
+        return [] if json.dumps(a) == json.dumps(b) else [(path, a, b)]
+    return [diff for k, x, y in pairs
+            for diff in json_differences(x, y, f"{path}.{k}" if path else str(k))]
+
+
+def print_json_differences(parent: Path, this: Path, parent_files: dict,
+                           this_files: dict) -> None:
+    """The first key paths that differ in each JSON file both runs wrote,
+    given the directories of the two runs and their ``data_files``."""
+    for name, digest in parent_files.items():
+        if not name.endswith(".json") or this_files.get(name, digest) == digest:
+            continue
+        diffs = json_differences(json.loads((parent / name).read_text()),
+                                 json.loads((this / name).read_text()))
+        for path, a, b in diffs[:JSON_DIFFS_SHOWN]:
+            print(f"  {name} {path}: {a!r} -> {b!r}")
+        if len(diffs) > JSON_DIFFS_SHOWN:
+            print(f"  {name}: {len(diffs) - JSON_DIFFS_SHOWN} more key paths differ")
 
 
 def start(tree: Path, base: Path, runs_file: Path) -> subprocess.Popen:
@@ -208,6 +240,9 @@ def main(argv=None) -> int:
                     differences += 1
                     print(f"DIFF {label}: {key}\n  parent: {got['parent'][key]!r}\n"
                           f"  this:   {got['this'][key]!r}")
+            print_json_differences(Path(tmp) / "parent" / str(index),
+                                   Path(tmp) / "this" / str(index),
+                                   got["parent"]["files"], got["this"]["files"])
     codes: dict = {}
     for (label, _), result in zip(runs, results["this"]):
         codes.setdefault(result["code"], []).append(label)
