@@ -44,7 +44,7 @@ from polygauss.errors import InputError
 from polygauss.moments import HermiteExpansion
 from polygauss.poly import ClassParams, Polynomial
 
-ECF_CHUNK = 1 << 18
+ECF_CHUNK = 1 << 15  # charfn.ECF_CHUNK, restated so both sum in the same blocks
 
 
 def ecf_direct(s: SampleSet, ts) -> np.ndarray:

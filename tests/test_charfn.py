@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polygauss as pg
+from polygauss import charfn
 from polygauss.density import SampleSet
 from polygauss.errors import InputError, ResolutionError
 from polygauss.poly import Polynomial, monomial, scale
@@ -83,6 +84,55 @@ def test_dense_bins_take_the_direct_sum():
     curve = pg.ecf_modulus(s, ts)
     assert np.all(curve.stderr == 1.0 / math.sqrt(s.count))
     assert np.array_equal(curve.modulus, ecf_direct(SampleSet(np.sort(s.values), s.seed), ts))
+
+
+@pytest.fixture(scope="module")
+def dense_bin_samples():
+    """10^5 samples of x1: every bin holds many samples, so bins straddle
+    the edges of any block size."""
+    return pg.sample(monomial(1, (1,)), 100_000, seed=14)
+
+
+@pytest.mark.parametrize("case", ["wide", "dense-bin"])
+def test_curve_does_not_depend_on_the_block_size(case, wide_samples, dense_bin_samples,
+                                                 monkeypatch):
+    # 4099 rows: bins straddle block edges and the last block is short; the
+    # tolerance is a few float64 roundings of a modulus at most 1, fixed
+    # before the test was run
+    s = wide_samples if case == "wide" else dense_bin_samples
+    ts = pg.default_t_grid(0.01, 1e3, 4)
+    curves = []
+    for rows in (1 << 18, 1 << 15, 4099):
+        monkeypatch.setattr(charfn, "ECF_CHUNK", rows)
+        curves.append(pg.ecf_modulus(s, ts))
+    if case == "wide":  # both the binned and the direct sums are compared
+        binned = truncation_bound(curves[0], s.count) > 0
+        assert binned.any() and not binned.all()
+    for curve in curves[1:]:
+        assert np.array_equal(curve.stderr, curves[0].stderr)
+        assert np.all(np.abs(curve.modulus - curves[0].modulus) <= 1e-15)
+
+
+def _first_level_by_counting(vals, lo, top):
+    dense = vals.shape[0] / (charfn.ECF_ORDER + 1)
+    return next((j for j in range(lo, top + 1) if charfn._occupied(vals, j) < dense), top + 1)
+
+
+@pytest.mark.parametrize("case, counted", [("x1", False), ("wide", True)])
+def test_span_bound_keeps_the_first_binned_level(case, counted, x1_samples,
+                                                 wide_samples, monkeypatch):
+    s = x1_samples if case == "x1" else wide_samples
+    vals = s.sorted
+    tol = charfn.ECF_TOL / math.sqrt(s.count)
+    levels = [charfn._ecf_level(t, tol) for t in pg.default_t_grid()]
+    lo, top = min(levels), max(levels)
+    want = _first_level_by_counting(vals, lo, top)
+    calls = []
+    occupied = charfn._occupied
+    monkeypatch.setattr(charfn, "_occupied", lambda v, j: calls.append(j) or occupied(v, j))
+    assert charfn._first_binned_level(vals, lo, top) == want
+    # on x1 the span settles the finest level; on the wide law it does not
+    assert bool(calls) == counted
 
 
 def test_curve_does_not_depend_on_sample_order(wide_samples):
