@@ -122,7 +122,7 @@ def ecf_modulus(s: SampleSet, ts) -> CfCurve:
     vals = s.sorted
     if not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):
         raise InputError("sample values must be finite")
-    if not math.isfinite(ts.max() * max(-vals[0], vals[-1])):
+    if not math.isfinite(float(ts.max()) * max(-float(vals[0]), float(vals[-1]))):
         raise InputError("t times the largest sample value overflows")
     n = s.count
     tol = ECF_TOL / math.sqrt(n)

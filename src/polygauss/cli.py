@@ -324,6 +324,9 @@ def cmd_modulus(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
     (s,) = _sample(run, cfg, [(f, cfg["seed"])])
+    # samples.bin is written after the checks, so that a failed run leaves no
+    # directory, and in draw order: s stays unsorted and the histogram reads
+    # the sorted copy
     with run.stage("histogram"):
         rho = histogram_density(s, cfg["grid"])
     params = _envelope_params(f)
@@ -363,6 +366,7 @@ def cmd_cf(cfg: dict) -> int:
     (s,) = _sample(run, cfg, [(f, cfg["seed"])])
     params = _envelope_params(f)
     with run.stage("checks"):
+        s.sort()  # nothing reads the draw order
         curve = ecf_modulus(s, default_t_grid())
         report = cf_decay_check(curve, params)
     alpha_new, alpha_prior = decay_exponents(params, f.n)
@@ -424,6 +428,9 @@ def cmd_distance(cfg: dict) -> int:
     run = _Run(cfg)
     params = _envelope_params(f)  # first, so a constant f keeps its message
     sf, sg = _sample(run, cfg, [(f, cfg["seed"]), (g, cfg["seed"] + 1)])
+    with run.stage("histogram"):  # nothing reads the draw order
+        sf.sort()
+        sg.sort()
     payload, _ = _distance_reports(run, params, sf, sg, cfg)
     run.write_json("distance_report.json", payload)
     run.finish()
@@ -459,10 +466,13 @@ def cmd_verify_all(cfg: dict) -> int:
             f = random_in_class(params, int(seeds[3 * k]))
         x1 = scale(variable(params.n, 1), PERTURBATION)
         s, sd = _sample(run, cfg, [(f, int(seeds[3 * k + 1])), (x1, int(seeds[3 * k + 2]))])
-        with run.stage("sample"):
+        with run.stage("sample"):  # the reads of s in draw order: g and the ECF's share
             sg = add_samples(s, sd)
-        del sd  # before the histograms, so peak memory holds two laws, not three
+            cf_sub = SampleSet(s.values[:CF_SAMPLES].copy(), s.seed)
+        del sd  # consumed: its buffer now holds g
         with run.stage("histogram"):
+            s.sort()
+            sg.sort()
             rho = histogram_density(s, cfg["grid"])
         env_params = _envelope_params(f)
         with run.stage("checks"):
@@ -472,7 +482,7 @@ def cmd_verify_all(cfg: dict) -> int:
             record(env_report)
             record(degree_envelope_check(variance(f), sigma, env_params.d))
 
-            cf_sub = SampleSet(s.values[:CF_SAMPLES], s.seed)
+            cf_sub.sort()
             curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
             record(cf_decay_check(curve, env_params))
 

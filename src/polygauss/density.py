@@ -22,9 +22,10 @@ from one X (common random numbers): each active variable is drawn from the
 streams of the first job that uses it, and a later job reads the normals of
 the variables it shares, so a law given twice gives equal values.  Every
 job reads its variables as column views of the blocks that own them, so no
-normal is copied.  verify-all draws f and 0.1 x1 and sums them
-(``add_samples``), so its g = f + 0.1 x1 costs one multiply, one add and at
-most the normals of x1; ``distance`` still evaluates its ``polynomial_b``.
+normal is copied.  verify-all draws f and 0.1 x1 and sums them into the
+buffer of 0.1 x1 (``add_samples``), so its g = f + 0.1 x1 costs one
+multiply, one add, at most the normals of x1 and no third array;
+``distance`` still evaluates its ``polynomial_b``.
 ``sample`` is the one-job case, and job 0 of any draw, like any job that
 shares no variable with an earlier one, has the values ``sample`` gives it.
 The thread pool takes one task per chunk, which draws every job's rows in
@@ -33,7 +34,9 @@ bit-identical for any thread count, because chunk boundaries are fixed and
 each chunk writes its own slice of each output; a law's values are checked
 for overflow once, when every chunk is drawn.  Inside a chunk, rows are
 drawn and evaluated in blocks of about ``BLOCK_BYTES`` of normals over all
-jobs, so memory is the outputs plus one block per thread, whatever n is.
+jobs, each block evaluated straight into its slice of the output
+(``evaluate_batch``'s ``out``), so memory is the outputs plus one block per
+thread, whatever n is.
 Each job draws the variables it owns, those no earlier job uses, as one
 row-major (rows, owned) matrix;
 consecutive draws from one generator continue its stream exactly, and each
@@ -41,11 +44,14 @@ value is computed from its own row alone, so the block size changes no
 value: the stream is the one a single (chunk, owned variables) draw would
 give.
 
-A ``SampleSet`` sorts its values at most once (``SampleSet.sorted``).  The
-grid's tail quantiles are read from that sort by rank, the histogram's cell
-counts are differences of the positions of the cell edges in it, and the
-empirical CDF and the empirical characteristic function
-(``charfn.ecf_modulus``) use the same sorted array.
+A ``SampleSet`` sorts its values at most once.  The grid's tail quantiles
+are read from that sort by rank, the histogram's cell counts are
+differences of the positions of the cell edges in it, and the empirical
+CDF and the empirical characteristic function (``charfn.ecf_modulus``) use
+the same sorted array.  None of them reads draw order, so a set whose draw
+order is no longer needed is sorted in its own buffer (``SampleSet.sort``)
+and holds its law in one array of 8 bytes a sample; ``SampleSet.sorted``
+sorts a copy only for a set whose draw order must outlast the estimators.
 """
 
 from __future__ import annotations
@@ -73,7 +79,12 @@ TAIL_QUANTILE = 1e-4
 
 @dataclass(frozen=True)
 class SampleSet:
-    """I.i.d. realizations of f(X) with seed provenance."""
+    """I.i.d. realizations of f(X) with seed provenance.
+
+    ``values`` is read-only and in draw order until ``sort`` sorts it in its
+    own buffer; ``sorted`` copies it only for a set whose draw order must
+    outlast the estimators (``modulus`` saves it after its checks).
+    """
 
     values: np.ndarray
     seed: int
@@ -89,10 +100,22 @@ class SampleSet:
 
     @cached_property
     def sorted(self) -> np.ndarray:
-        """The values in ascending order, read-only, sorted on first access only."""
+        """The values in ascending order, read-only: a copy sorted on first
+        access only, or ``values`` itself once ``sort`` has run."""
         out = np.sort(self.values)
         out.setflags(write=False)
         return out
+
+    def sort(self) -> None:
+        """Sort ``values`` in their own buffer, which must own its memory
+        (as every ``sample_many`` output does), and make it ``sorted`` too,
+        freeing any sorted copy.  The draw order is lost: sort a set once
+        nothing reads it in draw order.  The bits equal those of the copy
+        ``sorted`` would make, since ``np.sort`` sorts a copy the same way."""
+        self.values.setflags(write=True)
+        self.values.sort()
+        self.values.setflags(write=False)
+        self.__dict__["sorted"] = self.values
 
 
 def sample(f: Polynomial, n_samples: int, seed: int) -> SampleSet:
@@ -151,7 +174,7 @@ def sample_many(jobs: list[tuple[Polynomial, int]], n_samples: int) -> list[Samp
             for gen, width, (f, values, _, cols) in zip(gens, widths, laws):
                 blocks.append(gen.standard_normal((hi - lo, width)) if width else None)
                 with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-                    values[lo:hi] = evaluate_batch(f, [blocks[law][:, c] for law, c in cols])
+                    evaluate_batch(f, [blocks[law][:, c] for law, c in cols], values[lo:hi])
 
     with ThreadPoolExecutor(max_workers=min(n_chunks, THREADS)) as pool:
         list(pool.map(draw, range(n_chunks)))
@@ -166,7 +189,9 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 def add_samples(a: SampleSet, b: SampleSet) -> SampleSet:
     """The samples of f + h, with h's seed, from the samples ``a`` of f and
-    ``b`` of h that one ``sample_many`` call drew (so on one X).
+    ``b`` of h that one ``sample_many`` call drew (so on one X).  The sum is
+    written into b's buffer, which must own its memory: b is consumed, and
+    the returned set holds its values, so no third array is made.
 
     When h is one term f lacks, the values are bit for bit those of drawing
     ``add(f, h)`` after f in that call: ``evaluate_batch`` sums f's terms
@@ -174,8 +199,12 @@ def add_samples(a: SampleSet, b: SampleSet) -> SampleSet:
     it by rounding only.  A sum that overflows raises the ``InputError``
     ``sample_many`` raises for the values of f + h.
     """
+    vals = b.values
+    vals.setflags(write=True)
     with np.errstate(over="ignore"):
-        return SampleSet(_finite(a.values + b.values), b.seed)
+        np.add(a.values, vals, out=vals)
+    vals.setflags(write=False)
+    return SampleSet(_finite(vals), b.seed)
 
 
 @dataclass(frozen=True)

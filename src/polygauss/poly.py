@@ -150,10 +150,14 @@ def max_var_power(f: Polynomial) -> int:
     return max(max(j) for j in f.terms)
 
 
-def evaluate_batch(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
+def evaluate_batch(
+    f: Polynomial, cols: Sequence[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate f at N points given by its n coordinate columns: any sequence
     of n equal-length 1-D arrays, such as column views of a block of normals
-    (an (N, n) array ``x`` gives them as ``x.T``).
+    (an (N, n) array ``x`` gives them as ``x.T``).  The values go into
+    ``out``, a float64 array of length N such as a slice of a larger output,
+    or a new array when it is None; either is returned.
 
     Each variable's powers come from one running product, of which only the
     exponents some term uses are kept, so memory does not grow with the
@@ -170,8 +174,14 @@ def evaluate_batch(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
         raise InputError(f"columns must be 1-D of one length, got shapes "
                          f"{sorted({c.shape for c in cols})}")
     size = cols[0].shape[0]
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,) or out.dtype != np.float64:
+        raise InputError(f"out must be float64 of shape ({size},), got "
+                         f"{out.dtype} of shape {out.shape}")
+    out.fill(0.0)
     if f.is_zero:
-        return np.zeros(size)
+        return out
     pows: list[dict[int, np.ndarray]] = []
     for i, x in enumerate(cols):
         wanted = {exps[i] for exps in f.terms}
@@ -182,7 +192,6 @@ def evaluate_batch(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
             if e in wanted:
                 col[e] = power
         pows.append(col)
-    out = np.zeros(size)
     term = np.empty(size)
     for exps, coef in f.terms.items():
         factors = [pows[i][e] for i, e in enumerate(exps) if e]

@@ -207,6 +207,30 @@ def test_verify_all_draws_each_member_once(tmp_path, monkeypatch):
     assert all(laws[1:] == [scale(variable(2, 1), 0.1)] for laws in drawn)
 
 
+def test_verify_all_ecf_reads_the_first_samples_in_draw_order(tmp_path, monkeypatch):
+    import polygauss.cli as cli
+
+    heads, read = [], []
+    real_sample_many, real_ecf = cli.sample_many, cli.ecf_modulus
+
+    def recording_sample_many(jobs, n_samples):
+        out = real_sample_many(jobs, n_samples)
+        heads.append(out[0].values[:cli.CF_SAMPLES].copy())  # f, before it is sorted
+        return out
+
+    def recording_ecf(s, ts):
+        read.append(np.sort(s.values))
+        return real_ecf(s, ts)
+
+    monkeypatch.setattr(cli, "sample_many", recording_sample_many)
+    monkeypatch.setattr(cli, "ecf_modulus", recording_ecf)
+    cfg = small_family_cfg(tmp_path, "vc", samples=300_000)
+    assert run(["verify-all", "--config", str(cfg)]) == 0
+    assert len(heads) == len(read) == 2
+    for head, sub in zip(heads, read):
+        assert sub.tobytes() == np.sort(head).tobytes()
+
+
 def test_verify_all_reads_order_statistics_from_one_sort(tmp_path, monkeypatch):
     def full_sample_pass(*args, **kwargs):
         raise AssertionError("a quantile, median or partition pass over a whole sample")
@@ -305,7 +329,12 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
     (["distance", "--poly", ZERO_1E17, "--poly-b", ZERO_1E17], 3),
     (["modulus", "--poly", ZERO_1E17], 4),
     (["cf", "--poly", ZERO_1E17], 3),
+    # after the draw and the sort: t times the largest value overflows; too
+    # few samples for the histogram
+    (["cf", "--poly", dumps(scale(monomial(1, (1,)), 1e306)), "--samples", "20000"], 3),
+    (["distance", "--poly", X1X2, "--poly-b", X1SQ, "--samples", "1000"], 3),
 ])
+@pytest.mark.filterwarnings("error")  # a warning would be a second line of stderr
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):
     assert run([*argv, "--out", str(tmp_path / "big")]) == code
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import k0, ndtr
 from scipy.stats import binom
 
 import polygauss as pg
+import polygauss.cli as cli
 import polygauss.density as density
 from polygauss.density import SAMPLE_CHUNK
 from polygauss.errors import InputError, ResolutionError
@@ -18,6 +20,7 @@ from polygauss.poly import (
     Polynomial,
     add,
     constant,
+    dumps,
     monomial,
     random_in_class,
     scale,
@@ -167,11 +170,11 @@ def test_sample_many_raises_the_overflow_of_any_job(monkeypatch, threads):
     evaluate = density.evaluate_batch
 
     def overflow_at(where):
-        def evaluate_with_inf(f, cols):
-            values = evaluate(f, cols)
+        def evaluate_with_inf(f, cols, out):
+            evaluate(f, cols, out)
             if where(f, len(cols[0])):
-                values[0] = np.inf
-            return values
+                out[0] = np.inf
+            return out
         return evaluate_with_inf
 
     # job 1 overflows at once
@@ -192,14 +195,17 @@ def test_add_samples_gives_the_pinned_g():
         (f, seed_f), (g, seed_g) = _member_draws(params, s)
         x1 = scale(variable(params.n, 1), 0.1)
         sf, sd = pg.sample_many([(f, seed_f), (x1, seed_g)], 200_000)
+        summed, buffer = sf.values + sd.values, sd.values  # before the add consumes sd
+        _, drawn = pg.sample_many([(f, seed_f), (g, seed_g)], 200_000)
         sg = density.add_samples(sf, sd)
+        assert sg.values is buffer and sg.values.tobytes() == summed.tobytes(), (nmd, s)
+        assert not sg.values.flags.writeable
         assert _values_digest(sf) == want_f and sg.seed == seed_g, (nmd, s)
         if nmd == (14, 2, 3):  # no x1-linear term in f: the same sums in the same order
             assert next(iter(x1.terms)) not in f.terms
             assert _values_digest(sg) == want_g, (nmd, s)
         else:  # f's x1 term and 0.1 x1 are one term of g: they round apart
             assert next(iter(x1.terms)) in f.terms
-            _, drawn = pg.sample_many([(f, seed_f), (g, seed_g)], 200_000)
             np.testing.assert_allclose(sg.values, drawn.values, rtol=0.0, atol=1e-12)
 
 
@@ -250,11 +256,11 @@ def test_sample_checks_overflow_in_the_last_block(monkeypatch):
     f = monomial(2, (1, 1))
     evaluate = density.evaluate_batch
 
-    def overflow_in_short_block(g, cols):
-        values = evaluate(g, cols)
+    def overflow_in_short_block(g, cols, out):
+        evaluate(g, cols, out)
         if len(cols[0]) < 4096:  # only the last of 10_000 rows in 4096-row blocks
-            values[-1] = np.inf
-        return values
+            out[-1] = np.inf
+        return out
 
     monkeypatch.setattr(density, "BLOCK_BYTES", 1)
     monkeypatch.setattr(density, "evaluate_batch", overflow_in_short_block)
@@ -277,6 +283,32 @@ def test_sample_memory_does_not_grow_with_n():
     assert _sample_peak_bytes(wide, 1_000_000) < 24e6  # the values are 8 MB
     huge = random_in_class(ClassParams(400, 2, 3), 5)
     assert _sample_peak_bytes(huge, 200_000) < 64e6  # one (N, n) draw is 640 MB
+
+
+def _cli_peak_bytes(argv):
+    with tempfile.TemporaryDirectory() as out:
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_cf_holds_one_array_of_samples(capsys):
+    # the law is sorted in its draw buffer, so no sorted copy joins it
+    n = 1_000_000
+    f = Polynomial(3, {(1, 1, 0): 1.681, (0, 0, 2): 0.423})
+    peak = _cli_peak_bytes(["cf", "--poly", dumps(f), "--samples", str(n), "--seed", "1"])
+    assert peak < 1.75 * 8 * n
+
+
+def test_verify_all_member_holds_two_arrays_of_samples(capsys):
+    # f and g, g summed into the buffer of 0.1 x1, each sorted in its own buffer
+    n = 1_000_000
+    peak = _cli_peak_bytes(["verify-all", "--n", "3", "--m", "1", "--d", "3",
+                            "--count", "1", "--seed", "5", "--samples", str(n)])
+    assert peak < 3 * 8 * n
 
 
 def test_sample_clt_bands(x1_samples, x1sq_samples):
@@ -401,6 +433,42 @@ def test_sorted_is_one_read_only_sort(x1_samples):
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 0.0
+
+
+def test_sort_puts_the_law_in_its_own_buffer(x1_samples):
+    s = pg.SampleSet(x1_samples.values[:5000].copy(), x1_samples.seed)
+    copy = s.sorted
+    s.sort()
+    assert s.sorted is s.values and s.values.tobytes() == copy.tobytes()
+    assert not s.values.flags.writeable
+    view = pg.SampleSet(x1_samples.values[:5000], x1_samples.seed)
+    with pytest.raises(ValueError):  # x1_samples' buffer is read-only
+        view.sort()
+
+
+@pytest.mark.parametrize("name", ["x1_samples", "x1x2_samples"])
+def test_estimators_read_a_law_sorted_in_place_as_its_sorted_copy(request, name):
+    drawn = request.getfixturevalue(name)
+    copied = pg.SampleSet(drawn.values.copy(), drawn.seed)
+    in_place = pg.SampleSet(drawn.values.copy(), drawn.seed)
+    in_place.sort()
+    assert copied.values.tobytes() == drawn.values.tobytes()  # still in draw order
+    assert in_place.sorted is in_place.values
+    assert in_place.sorted.tobytes() == copied.sorted.tobytes()
+    sets = (copied, in_place)
+    assert len({pg.quantile_grid([s], 400) for s in sets}) == 1
+    rho = [pg.histogram_density(s, 400) for s in sets]
+    assert rho[0].values.tobytes() == rho[1].values.tobytes()
+    assert (rho[0].lo, rho[0].clipped_mass, rho[0].l1_noise) == \
+        (rho[1].lo, rho[1].clipped_mass, rho[1].l1_noise)
+    xs = np.linspace(-3.0, 3.0, 101)
+    assert pg.ecdf(copied)(xs).tobytes() == pg.ecdf(in_place)(xs).tobytes()
+    params = pg.EnvelopeParams(m=1, d=1 if name == "x1_samples" else 2, lead=1.0)
+    small = [pg.small_set_check(pg.ecdf(s), rho[0], params, (-0.6, math.inf)) for s in sets]
+    assert small[0].to_json_dict() == small[1].to_json_dict()
+    curves = [pg.ecf_modulus(s, pg.default_t_grid()) for s in sets]
+    assert curves[0].modulus.tobytes() == curves[1].modulus.tobytes()
+    assert curves[0].stderr.tobytes() == curves[1].stderr.tobytes()
 
 
 def _floor_binned_histogram(values, lo, step, size):
