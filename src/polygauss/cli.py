@@ -87,20 +87,19 @@ CF_SAMPLES = 200_000  # verify-all's decay check reads this many of a member's s
 PERTURBATION = 0.1
 
 
-# Every config field: its default, accepted JSON types, smallest value (None:
-# not checked here; ClassParams checks n, m and d) and flag (None: config only).
-_Field = namedtuple("_Field", "default types least flag", defaults=(None, None))
+# Every config field: its default, accepted JSON types, flag and smallest
+# value (None: not checked here; ClassParams checks n, m and d).
+_Field = namedtuple("_Field", "default types flag least", defaults=(None,))
 FIELDS = {
-    "seed": _Field(1, int, 0, "--seed"),
-    "samples": _Field(1_000_000, int, 1, "--samples"),
-    "grid": _Field(400, int, 1, "--grid"),
-    "out": _Field("out", str, flag="--out"),
-    "svg": _Field(False, bool, flag="--svg"),
-    "corrupt_envelope_exponent": _Field(0.0, (int, float)),
-    "polynomial": _Field(None, (str, dict), flag="--poly"),
-    "polynomial_b": _Field(None, (str, dict), flag="--poly-b"),
-    **{key: _Field(None, int, flag=f"--{key}") for key in ("n", "m", "d")},
-    "count": _Field(10, int, 0, "--count"),
+    "seed": _Field(1, int, "--seed", 0),
+    "samples": _Field(1_000_000, int, "--samples", 1),
+    "grid": _Field(400, int, "--grid", 1),
+    "out": _Field("out", str, "--out"),
+    "svg": _Field(False, bool, "--svg"),
+    "polynomial": _Field(None, (str, dict), "--poly"),
+    "polynomial_b": _Field(None, (str, dict), "--poly-b"),
+    **{key: _Field(None, int, f"--{key}") for key in ("n", "m", "d")},
+    "count": _Field(10, int, "--count", 0),
 }
 
 
@@ -120,16 +119,15 @@ def _build_parser() -> _Parser:
             f = FIELDS[key]
             if f.types is bool:
                 s.add_argument(f.flag, dest=key, action="store_true", default=None)
-            elif f.flag is not None:
+            else:
                 s.add_argument(f.flag, dest=key, type=int if f.types is int else str)
     return p
 
 
 def _fits(val, rule) -> bool:
-    """``val`` has a type in ``rule`` (a bool is no int) and, if a float, is
-    finite: json.loads reads NaN and Infinity, which JSON lacks."""
-    return (isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
-            and (not isinstance(val, float) or math.isfinite(val)))
+    """``val`` has a type in ``rule``, and a bool is no int.  No field takes a
+    float, so the NaN and Infinity that json.loads reads are rejected too."""
+    return isinstance(val, rule) and (rule is bool or not isinstance(val, bool))
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -265,16 +263,13 @@ def _envelope_params(f: Polynomial) -> EnvelopeParams:
     return EnvelopeParams(m=max_var_power(f), d=degree(f), lead=lead)
 
 
-def _modulus_reports(rho: GriddedDensity, params: EnvelopeParams, cfg: dict):
+def _modulus_reports(rho: GriddedDensity, params: EnvelopeParams):
     """Probe grid, shift and dual modulus curves, and the envelope and
     equivalence reports built from them: (omega, sigma, envelope, equivalence)."""
     probes = default_probe_grid(rho)
     omega = shift_modulus_curve(rho, probes)
     sigma = dual_modulus_curve(rho, probes)
-    env_report = envelope_check(
-        omega, params, slope_range=MC_SLOPE_RANGE,
-        exponent_bias=cfg["corrupt_envelope_exponent"],
-    )
+    env_report = envelope_check(omega, params, slope_range=MC_SLOPE_RANGE)
     return omega, sigma, env_report, modulus_equivalence_check(rho, sigma)
 
 
@@ -294,8 +289,9 @@ def cmd_variance(cfg: dict) -> int:
     v_moment = variance(f)
     v_hermite = variance_via_hermite(f)
     (s,) = _sample(run, cfg, [(f, cfg["seed"])])
-    mc = float(np.var(s.values))
-    m4 = float(np.mean((s.values - s.values.mean()) ** 4))
+    d = s.values - s.values.mean()  # one temporary, squared in place twice
+    mc = float(np.square(d, out=d).mean())
+    m4 = float(np.square(d, out=d).mean())
     se = math.sqrt(max(m4 - mc * mc, 0.0) / s.count)
     rel_gap = abs(v_moment - v_hermite) / (1.0 + abs(v_moment))
     methods_ok = rel_gap <= 1e-9
@@ -331,7 +327,7 @@ def cmd_modulus(cfg: dict) -> int:
         rho = histogram_density(s, cfg["grid"])
     params = _envelope_params(f)
     with run.stage("checks"):
-        omega, sigma, env_report, equiv_report = _modulus_reports(rho, params, cfg)
+        omega, sigma, env_report, equiv_report = _modulus_reports(rho, params)
     s.values.astype("<f8", copy=False).tofile(run.path("samples.bin"))
     run.write_json("samples.bin.json",
                    {"seed": s.seed, "N": s.count, "polynomial": to_json_dict(f)})
@@ -476,7 +472,7 @@ def cmd_verify_all(cfg: dict) -> int:
             rho = histogram_density(s, cfg["grid"])
         env_params = _envelope_params(f)
         with run.stage("checks"):
-            _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params, cfg)
+            _, sigma, env_report, equiv_report = _modulus_reports(rho, env_params)
             record(equiv_report)
             record(small_set_check(ecdf(s), rho, env_params, MC_SLOPE_RANGE))
             record(env_report)
@@ -513,13 +509,12 @@ def cmd_verify_all(cfg: dict) -> int:
 # Each command's function and the config fields it reads; it takes no others.
 COMMANDS = {
     "variance": (cmd_variance, ("seed", "samples", "out", "polynomial")),
-    "modulus": (cmd_modulus, ("seed", "samples", "grid", "out", "svg",
-                              "corrupt_envelope_exponent", "polynomial")),
+    "modulus": (cmd_modulus, ("seed", "samples", "grid", "out", "svg", "polynomial")),
     "cf": (cmd_cf, ("seed", "samples", "out", "svg", "polynomial")),
     "distance": (cmd_distance, ("seed", "samples", "grid", "out", "polynomial",
                                 "polynomial_b")),
     "verify-all": (cmd_verify_all, ("seed", "samples", "grid", "out",
-                                    "corrupt_envelope_exponent", "n", "m", "d", "count")),
+                                    "n", "m", "d", "count")),
 }
 
 

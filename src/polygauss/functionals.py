@@ -324,17 +324,14 @@ def modulus_equivalence_check(rho: GriddedDensity, sigma: ModulusCurve) -> Bound
 # --- Scaling-law envelope ------------------------------------------------------
 
 
-def modulus_envelope(p: EnvelopeParams, eps: float, exponent_bias: float = 0.0) -> float:
+def modulus_envelope(p: EnvelopeParams, eps: float) -> float:
     """(eps/a)^(1/m) * (|ln(eps/a)|^(d-m) + 1), the unit-constant envelope.
-
-    ``exponent_bias`` perturbs the 1/m exponent; nonzero values deliberately
-    corrupt the envelope (self-test hook for the verification harness).  An
-    envelope that is not finite and positive is an input error.
-    """
+    An envelope that is not finite and positive is an input error."""
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    return power_bracket(np.float64(eps) / p.lead, 1.0 / p.m + exponent_bias,
-                         p.d - p.m, f"eps {eps:g}")
+    with np.errstate(over="ignore"):  # an infinite u gives an infinite envelope
+        u = np.float64(eps) / p.lead
+    return power_bracket(u, 1.0 / p.m, p.d - p.m, f"eps {eps:g}")
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -373,7 +370,6 @@ def envelope_check(
     curve: ModulusCurve,
     p: EnvelopeParams,
     slope_range: tuple[float, float] = (-0.15, 0.15),
-    exponent_bias: float = 0.0,
 ) -> BoundReport:
     """Boundedness of the modulus against the scaling-law envelope.
 
@@ -384,17 +380,19 @@ def envelope_check(
     near zero.  Monte Carlo curves of arbitrary members are judged on a
     one-sided window (``cli.MC_SLOPE_RANGE``): the law is an upper bound, so
     a ratio that falls as eps shrinks (a smoother law) agrees with it, and
-    only one that grows refutes the exponent.  Alongside that
-    ``ratio_slope``, the extras hold ``slope_loglog``, the raw log-log slope
-    (below 1/m when d > m, because the log factor is real), and
-    ``slope_adjusted``, the slope with the log factor divided out, which
+    only one that grows refutes the exponent.  A false claim is a wrong
+    power cap in ``p``: the normal law's modulus, of log-log slope 1, fails
+    the claim m = d = 2 (envelope eps^(1/2)) on the symmetric window.
+    Alongside the ``ratio_slope``, the extras hold ``slope_loglog``, the raw
+    log-log slope (below 1/m when d > m, because the log factor is real),
+    and ``slope_adjusted``, the slope with the log factor divided out, which
     compares directly with 1/m.
     """
     keep = curve.values > 0
     if keep.sum() < 3:
         raise InputError("envelope fit needs at least 3 positive curve points")
     eps, vals = curve.eps[keep], curve.values[keep]
-    env = np.array([modulus_envelope(p, e, exponent_bias) for e in eps])
+    env = np.array([modulus_envelope(p, e) for e in eps])
     log_eps = np.log(eps)
     log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
     ratio_slope = ols_slope(log_eps, np.log(vals / env))

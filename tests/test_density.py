@@ -311,6 +311,14 @@ def test_verify_all_member_holds_two_arrays_of_samples(capsys):
     assert peak < 3 * 8 * n
 
 
+def test_variance_holds_one_temporary_beside_the_samples(capsys):
+    # the centred values are squared in place for the second and fourth moments
+    n = 1_000_000
+    f = Polynomial(2, {(1, 1): 1.0})
+    peak = _cli_peak_bytes(["variance", "--poly", dumps(f), "--samples", str(n), "--seed", "3"])
+    assert peak < 2.5 * 8 * n
+
+
 def test_sample_clt_bands(x1_samples, x1sq_samples):
     n = x1_samples.count
     assert abs(x1_samples.values.mean()) <= 4.0 / math.sqrt(n)

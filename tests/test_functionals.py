@@ -368,11 +368,13 @@ def test_envelope_value_examples():
     assert pg.modulus_envelope(p, 2 * math.exp(-2)) == pytest.approx(3 * math.exp(-1))
 
 
-@pytest.mark.parametrize("bias", [-1e308, -math.inf, math.inf, math.nan])
-def test_envelope_not_finite_and_positive_is_an_input_error(bias):
-    # below eps = a the first two give an infinite envelope, the last two 0 and NaN
+@pytest.mark.parametrize("lead, eps", [(1e300, 1e-300), (1e-300, 1e300), (1.0, math.inf),
+                                       (1.0, math.nan)])
+def test_envelope_not_finite_and_positive_is_an_input_error(lead, eps):
+    # u = eps/a underflows to 0, overflows to inf, is inf, or is NaN; d = m
+    # leaves no log term to raise first
     with pytest.raises(InputError, match="not finite and positive"):
-        pg.modulus_envelope(pg.EnvelopeParams(m=1, d=2), 0.1, exponent_bias=bias)
+        pg.modulus_envelope(pg.EnvelopeParams(m=2, d=2, lead=lead), eps)
 
 
 def test_envelope_fit_self_consistency():
@@ -398,7 +400,8 @@ def test_envelope_check_catches_corrupt_exponent(normal_oracle):
     p = pg.EnvelopeParams(m=1, d=1)
     good = pg.envelope_check(curve, p)
     assert good.verdict
-    bad = pg.envelope_check(curve, p, exponent_bias=-0.5)
+    # the claim m = 2 for a law of exponent 1: the envelope eps^(1/2) is too loose
+    bad = pg.envelope_check(curve, pg.EnvelopeParams(m=2, d=2))
     assert not bad.verdict
 
 
@@ -467,8 +470,8 @@ def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, x1_samp
     curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
     p = pg.EnvelopeParams(m=1, d=1)
     for lo, hi in [(-0.15, 0.15), (-0.6, 1.0)]:
-        for bias in (0.0, -0.5):
-            report = pg.envelope_check(curve, p, (lo, hi), exponent_bias=bias)
+        for claim in (p, pg.EnvelopeParams(m=2, d=2)):
+            report = pg.envelope_check(curve, claim, (lo, hi))
             s = report.extras["ratio_slope"]
             assert report.worst_margin == min(hi - s, s - lo)
             assert report.verdict == (report.worst_margin >= 0)
