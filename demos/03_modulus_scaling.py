@@ -54,11 +54,13 @@ curve_c = pg.shift_modulus_curve(rho_c, np.geomspace(0.01, 0.1, 13))
 fit_c = pg.envelope_check(curve_c, pg.EnvelopeParams(m=2, d=2)).extras
 print(f"\nsquare law (m=d=2): log-log slope {fit_c['slope_loglog']:.4f} (expect 1/2)")
 
-# degree-only fallback: sigma <= C(d) Var^(-1/2d) eps^(1/d)
+# degree-only fallback: sigma <= C(d) (eps / sqrt(Var))^(1/d), the envelope
+# at m = d with lead sqrt(Var), whose ratio slope must stay above -0.1
 sigma_curve = pg.dual_modulus_curve(rho_c, np.geomspace(0.02, 0.3, 12))
 drep = pg.degree_envelope_check(2.0, sigma_curve, d=2)
-print(f"degree-only bound: slope {drep.extras['slope']:.3f} "
-      f">= floor {drep.extras['slope_floor']:.3f} -> "
+lo = drep.extras["slope_range"][0]  # the upper end is open
+print(f"degree-only bound: ratio slope {drep.extras['ratio_slope']:+.3f} in [{lo:g}, inf), "
+      f"log-log slope {drep.extras['slope_loglog']:.3f} (at least 1/d {lo:+g}) -> "
       f"{'pass' if drep.verdict else 'FAIL'}")
 
 # small-ball law of x1^2: P(|x1^2 - c| <= eps/2), read from the ECDF between

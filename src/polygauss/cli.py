@@ -387,35 +387,16 @@ def cmd_cf(cfg: dict) -> int:
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
-def _distance_reports(
-    run: _Run, params: EnvelopeParams, sf: SampleSet, sg: SampleSet, cfg: dict
-) -> tuple[dict, BoundReport]:
-    """Distances between f (envelope ``params``, samples ``sf``) and g
-    (samples ``sg``), both histogrammed on the quantile grid of their pooled
-    samples: the distance report's payload and the two-term report."""
+def _distance_report(run: _Run, sf: SampleSet, sg: SampleSet, cfg: dict) -> BoundReport:
+    """The two-term report of the distances between the laws of samples
+    ``sf`` and ``sg``, both histogrammed on the quantile grid of their
+    pooled samples."""
     with run.stage("histogram"):
         grid = quantile_grid([sf, sg], cfg["grid"])
         rho_f = histogram_density(sf, cfg["grid"], grid)
         rho_g = histogram_density(sg, cfg["grid"], grid)
     with run.stage("checks"):
-        report = tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
-    tv = report.extras["tv"]
-    kr = report.extras["kr"]
-    if kr > 1e-9:
-        eps_star = balancing_epsilon(kr, params.m, params.d)
-        ratio = tv_kr_rate_ratio(tv, kr, params.m, params.d)
-    else:
-        eps_star, ratio = None, None
-    return {
-        "tv": tv,
-        "kr": kr,
-        "kr_le_tv": bool(kr <= tv + 1e-9),
-        "two_term_bound": report.to_json_dict(),
-        "balancing_eps": eps_star,
-        "balancing_eps_in_range": None if eps_star is None else bool(0 < eps_star < 1),
-        "rate_ratio": ratio,
-        "verdict": report.verdict,
-    }, report
+        return tv_vs_kr_check(rho_f, rho_g, np.geomspace(0.05, 0.9, 8))
 
 
 def cmd_distance(cfg: dict) -> int:
@@ -427,15 +408,28 @@ def cmd_distance(cfg: dict) -> int:
     with run.stage("histogram"):  # nothing reads the draw order
         sf.sort()
         sg.sort()
-    payload, _ = _distance_reports(run, params, sf, sg, cfg)
-    run.write_json("distance_report.json", payload)
+    report = _distance_report(run, sf, sg, cfg)
+    tv, kr = report.extras["tv"], report.extras["kr"]
+    eps_star = ratio = None
+    if kr > 1e-9:
+        eps_star = balancing_epsilon(kr, params.m, params.d)
+        ratio = tv_kr_rate_ratio(tv, kr, params.m, params.d)
+    run.write_json("distance_report.json", {
+        "tv": tv,
+        "kr": kr,
+        "kr_le_tv": bool(kr <= tv + 1e-9),
+        "two_term_bound": report.to_json_dict(),
+        "balancing_eps": eps_star,
+        "balancing_eps_in_range": None if eps_star is None else bool(0 < eps_star < 1),
+        "rate_ratio": ratio,
+        "verdict": report.verdict,
+    })
     run.finish()
-    print(f"tv = {payload['tv']:.6g}   kr = {payload['kr']:.6g}")
-    if payload["rate_ratio"] is not None:
-        print(f"rate ratio = {payload['rate_ratio']:.6g} "
-              f"(balancing eps = {payload['balancing_eps']:.6g})")
-    print(f"two-term bound: {'pass' if payload['verdict'] else 'FAIL'}")
-    return EXIT_OK if payload["verdict"] else EXIT_VERDICT
+    print(f"tv = {tv:.6g}   kr = {kr:.6g}")
+    if ratio is not None:
+        print(f"rate ratio = {ratio:.6g} (balancing eps = {eps_star:.6g})")
+    print(f"two-term bound: {'pass' if report.verdict else 'FAIL'}")
+    return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
 def cmd_verify_all(cfg: dict) -> int:
@@ -482,7 +476,7 @@ def cmd_verify_all(cfg: dict) -> int:
             curve = ecf_modulus(cf_sub, default_t_grid(lo=0.01))
             record(cf_decay_check(curve, env_params))
 
-        record(_distance_reports(run, env_params, s, sg, cfg)[1])
+        record(_distance_report(run, s, sg, cfg))
 
     verdict = all(v["passed"] == v["total"] for v in families.values())
     for name, slot in families.items():

@@ -25,7 +25,11 @@ law with envelope
 
     (eps / a)^(1/m) * ( |ln(eps/a)|^(d-m) + 1 )
 
-up to a constant depending only on (m, d).  Distances between two densities
+up to a constant depending only on (m, d).  At m = d the log term drops out,
+and with a = sqrt(Var) the envelope is the degree-only bound
+sigma(rho, eps) <= C(d) (eps / sqrt(Var))^(1/d) (Carbery & Wright 2001), which
+the power cap sharpens; the modulus, the small-ball mass and the degree-only
+bound are all fitted by ``envelope_check``.  Distances between two densities
 use the same machinery: total variation is the L1 distance (range [0, 2]);
 the bounded-Lipschitz (Kantorovich-Rubinstein) distance is the chain LP with
 unit box.  They are linked through
@@ -157,13 +161,12 @@ class BoundReport:
     def from_rows(
         check_id: str,
         rows: list[ProbeRow],
-        fitted_constant: float | None = None,
         extra_ok: bool = True,
         extras: dict | None = None,
     ) -> "BoundReport":
         verdict = bool(extra_ok) and all(r.passed for r in rows)
         return BoundReport(
-            check_id, tuple(rows), fitted_constant, verdict, dict(extras or {}),
+            check_id, tuple(rows), None, verdict, dict(extras or {}),
             min((r.margin for r in rows), default=math.inf),
         )
 
@@ -370,8 +373,12 @@ def envelope_check(
     curve: ModulusCurve,
     p: EnvelopeParams,
     slope_range: tuple[float, float] = (-0.15, 0.15),
+    check_id: str = "modulus-envelope",
 ) -> BoundReport:
-    """Boundedness of the modulus against the scaling-law envelope.
+    """An eps-law's values against the scaling-law envelope: the one fit of
+    the shift modulus, the small-ball mass (``small_set_check``) and the
+    degree-only bound (``degree_envelope_check``), each reported as
+    ``check_id``.
 
     Passes when the fitted constant is finite and the log-log trend of the
     ratio, fitted over every positive point of ``curve``, stays inside
@@ -397,7 +404,7 @@ def envelope_check(
     log_factor = np.array([log_bracket(e / p.lead, p.d - p.m) for e in eps])
     ratio_slope = ols_slope(log_eps, np.log(vals / env))
     return scaling_report(
-        "modulus-envelope", eps, vals, env, ratio_slope, slope_range,
+        check_id, eps, vals, env, ratio_slope, slope_range,
         extras={
             "ratio_slope": ratio_slope,
             # an open end is null, since JSON has no infinity
@@ -412,21 +419,15 @@ def envelope_check(
 def degree_envelope_check(
     var: float, curve: ModulusCurve, d: int
 ) -> BoundReport:
-    """Fallback bound ignoring the power cap: the dual modulus is at most
-    C(d) * Var^(-1/(2d)) * eps^(1/d); fits C and checks the log-log slope
-    stays above 1/d - 0.1."""
+    """Degree-only bound, blind to the power cap: the dual modulus is at most
+    C(d) * (eps / sqrt(Var))^(1/d) (Carbery & Wright 2001), the envelope at
+    m = d with leading magnitude sqrt(Var).  Passes when the ratio slope is
+    at least -0.1, that is, when the log-log slope of ``curve`` is at least
+    1/d - 0.1."""
     if var <= 0:
         raise ResolutionError("degree envelope needs positive variance")
-    keep = curve.values > 0
-    if keep.sum() < 3:
-        raise InputError("degree envelope fit needs at least 3 positive points")
-    eps, vals = curve.eps[keep], curve.values[keep]
-    window = (1.0 / d - 0.1, math.inf)
-    slope = ols_slope(np.log(eps), np.log(vals))
-    return scaling_report(
-        "degree-envelope", eps, vals, var ** (-0.5 / d) * eps ** (1.0 / d),
-        slope, window, extras={"slope": slope, "slope_floor": window[0], "variance": var},
-    )
+    return envelope_check(curve, EnvelopeParams(m=d, d=d, lead=math.sqrt(var)),
+                          (-0.1, math.inf), "degree-envelope")
 
 
 def small_set_check(
@@ -436,7 +437,7 @@ def small_set_check(
     slope_range: tuple[float, float],
 ) -> BoundReport:
     """Small-ball law: p(eps), the empirical mass of (c - eps/2, c + eps/2],
-    against the envelope, judged as ``envelope_check`` judges the modulus.
+    judged by ``envelope_check``, with c as the extra ``centre``.
 
     c is the midpoint of the narrowest run of ``SMALL_BALLS[0]`` consecutive
     sorted samples that meets the densest cell of ``rho``: the sample's
@@ -464,11 +465,10 @@ def small_set_check(
     if len(eps) < 3:
         raise ResolutionError(f"small-ball probes from {lo:g} ({small} samples) "
                               f"to {hi:g} ({large} samples) are fewer than 3")
-    prob = cdf(c + eps / 2) - cdf(c - eps / 2)
-    env = np.array([modulus_envelope(p, e) for e in eps])
-    slope = ols_slope(np.log(eps), np.log(prob / env))
-    return scaling_report("small-set", eps, prob, env, slope, slope_range,
-                          extras={"centre": float(c), "ratio_slope": slope})
+    report = envelope_check(ModulusCurve(eps, cdf(c + eps / 2) - cdf(c - eps / 2)), p,
+                            slope_range, "small-set")
+    report.extras["centre"] = float(c)
+    return report
 
 
 # --- Distances ----------------------------------------------------------------

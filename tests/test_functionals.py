@@ -422,7 +422,7 @@ def test_degree_envelope_gaussian(normal_oracle):
     sigma = pg.dual_modulus_curve(normal_oracle, eps)
     report = pg.degree_envelope_check(1.0, sigma, d=1)
     assert report.verdict
-    assert report.extras["slope"] == pytest.approx(1.0, abs=0.05)
+    assert report.extras["slope_loglog"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_degree_envelope_chisq(chisq_oracle):
@@ -430,7 +430,7 @@ def test_degree_envelope_chisq(chisq_oracle):
     sigma = pg.dual_modulus_curve(chisq_oracle, eps)
     report = pg.degree_envelope_check(2.0, sigma, d=2)
     assert report.verdict
-    assert report.extras["slope"] >= 0.4
+    assert report.extras["slope_loglog"] >= 0.4
 
 
 def test_degree_envelope_scaling_compensation(normal_oracle):
@@ -450,9 +450,25 @@ def test_degree_envelope_fails_a_slope_below_its_floor():
     # sigma ~ eps^(1/2) is too rough for degree 1, whose floor is 1 - 0.1
     eps = np.geomspace(0.01, 0.3, 12)
     report = pg.degree_envelope_check(1.0, ModulusCurve(eps, eps ** 0.5), d=1)
-    assert report.extras["slope"] == pytest.approx(0.5)
+    assert report.extras["slope_loglog"] == pytest.approx(0.5)
+    assert report.extras["ratio_slope"] == pytest.approx(-0.5)
     assert not report.verdict
     assert report.worst_margin == pytest.approx(0.5 - 0.9)
+
+
+def test_degree_envelope_is_the_envelope_at_m_equals_d(normal_oracle, chisq_oracle):
+    # the degree-only bound is the envelope at m = d with lead sqrt(Var): its
+    # ratio slope is the log-log slope less 1/d, and its constant the largest
+    # sigma / (Var^(-1/(2d)) eps^(1/d))
+    eps = np.geomspace(0.02, 0.3, 12)
+    for sigma, var, d in [(pg.dual_modulus_curve(normal_oracle, eps), 1.0, 1),
+                          (pg.dual_modulus_curve(chisq_oracle, eps), 2.0, 2),
+                          (ModulusCurve(eps, eps ** 0.5), 1.0, 1)]:
+        report = pg.degree_envelope_check(var, sigma, d)
+        assert report.extras["ratio_slope"] == pytest.approx(
+            report.extras["slope_loglog"] - 1 / d, abs=1e-12)
+        direct = (sigma.values / (var ** (-0.5 / d) * sigma.eps ** (1 / d))).max()
+        assert report.fitted_constant == pytest.approx(direct, rel=1e-12)
 
 
 def test_degree_envelope_rejects_zero_variance(normal_oracle):
@@ -466,7 +482,8 @@ def row_margin(report):
     return min(r.rhs - r.lhs for r in report.rows)
 
 
-def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, x1_samples):
+def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, chisq_oracle,
+                                                          x1_samples):
     curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
     p = pg.EnvelopeParams(m=1, d=1)
     for lo, hi in [(-0.15, 0.15), (-0.6, 1.0)]:
@@ -480,13 +497,11 @@ def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, x1_samp
         report = pg.small_set_check(pg.ecdf(x1_samples), h, p, (lo, hi))
         s = report.extras["ratio_slope"]
         assert report.worst_margin == min(hi - s, s - lo)
-
-
-def test_degree_envelope_margin_is_slope_above_floor(normal_oracle, chisq_oracle):
+    # the degree-only bound's window is (-0.1, inf)
     for rho, var, d in [(normal_oracle, 1.0, 1), (chisq_oracle, 2.0, 2)]:
         sigma = pg.dual_modulus_curve(rho, np.geomspace(0.02, 0.3, 12))
         report = pg.degree_envelope_check(var, sigma, d)
-        assert report.worst_margin == report.extras["slope"] - report.extras["slope_floor"]
+        assert report.worst_margin == report.extras["ratio_slope"] + 0.1
 
 
 def test_row_check_margins_are_smallest_rhs_minus_lhs(

@@ -31,28 +31,17 @@ MANIFEST = "run_manifest.json"
 JSON_DIFFS_SHOWN = 10  # key paths printed per differing JSON file
 ABSENT = "<absent>"  # the value shown for a key one document lacks
 
-MODULUS_POLYS = {
-    "x1": {"n": 1, "terms": [{"exp": [1], "coef": 1.0}]},
-    "x1^2": {"n": 1, "terms": [{"exp": [2], "coef": 1.0}]},
-    "x1*x2": {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}]},
-}
+# The benchmark's modulus polynomials and the cf inputs of its indices 1-3
+# (sums of independent pieces); the cf sample seed is the index.
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import MODULUS_POLYS, cf_pieces, cf_polynomial  # noqa: E402
+
+CF_POLYS = {index: cf_polynomial(cf_pieces(index)) for index in (1, 2, 3)}
 # The second laws of the distance runs: x1*x2 + 0.2*x1, which reads every
 # normal of f, and x1*x2 + 0.2*x3, which draws x3 from its own seed.
 X1X2_PLUS = {"n": 2, "terms": [{"exp": [1, 1], "coef": 1.0}, {"exp": [1, 0], "coef": 0.2}]}
 X1X2_PLUS_X3 = {"n": 3, "terms": [{"exp": [1, 1, 0], "coef": 1.0},
                                   {"exp": [0, 0, 1], "coef": 0.2}]}
-# Sums of independent pieces (a*x1*x2 plus a square or a linear term on
-# other variables), the cf inputs of the benchmark's indices 1-3; the sample
-# seed is the index.
-CF_POLYS = {
-    1: {"n": 3, "terms": [{"exp": [1, 1, 0], "coef": 1.681},
-                          {"exp": [0, 0, 2], "coef": 0.423}]},
-    2: {"n": 4, "terms": [{"exp": [1, 1, 0, 0], "coef": 1.886},
-                          {"exp": [0, 0, 2, 0], "coef": 0.95},
-                          {"exp": [0, 0, 0, 1], "coef": 0.175}]},
-    3: {"n": 3, "terms": [{"exp": [1, 1, 0], "coef": 1.041},
-                          {"exp": [0, 0, 1], "coef": 0.151}]},
-}
 
 # Runs each invocation through polygauss.cli.main with its output captured.
 # argv: the tree's src directory, the base output directory and a JSON file
