@@ -482,8 +482,7 @@ def row_margin(report):
     return min(r.rhs - r.lhs for r in report.rows)
 
 
-def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, chisq_oracle,
-                                                          x1_samples):
+def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, x1_samples):
     curve = pg.shift_modulus_curve(normal_oracle, np.geomspace(0.01, 0.1, 13))
     p = pg.EnvelopeParams(m=1, d=1)
     for lo, hi in [(-0.15, 0.15), (-0.6, 1.0)]:
@@ -497,11 +496,17 @@ def test_envelope_margin_is_distance_to_nearer_window_end(normal_oracle, chisq_o
         report = pg.small_set_check(pg.ecdf(x1_samples), h, p, (lo, hi))
         s = report.extras["ratio_slope"]
         assert report.worst_margin == min(hi - s, s - lo)
-    # the degree-only bound's window is (-0.1, inf)
+
+
+def test_degree_envelope_margin_is_slope_above_floor(normal_oracle, chisq_oracle):
+    # the degree-only bound's window is (-0.1, inf) on the ratio slope, that is
+    # a floor of 1/d - 0.1 on the log-log slope
     for rho, var, d in [(normal_oracle, 1.0, 1), (chisq_oracle, 2.0, 2)]:
         sigma = pg.dual_modulus_curve(rho, np.geomspace(0.02, 0.3, 12))
         report = pg.degree_envelope_check(var, sigma, d)
         assert report.worst_margin == report.extras["ratio_slope"] + 0.1
+        assert report.worst_margin == pytest.approx(
+            report.extras["slope_loglog"] - (1 / d - 0.1), abs=1e-12)
 
 
 def test_row_check_margins_are_smallest_rhs_minus_lhs(
