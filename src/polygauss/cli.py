@@ -285,6 +285,9 @@ def _maybe_svg(run: _Run, cfg: dict, name: str, x, y, title, xlab, ylab) -> None
 
 def cmd_variance(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
+    # fewer samples make the fourth-moment SE run low (0 at N <= 2): correct laws fail
+    if cfg["samples"] < 10_000:
+        raise InputError(f"variance needs at least 10^4 samples, got {cfg['samples']}")
     run = _Run(cfg)
     v_moment = variance(f)
     v_hermite = variance_via_hermite(f)
@@ -320,10 +323,8 @@ def cmd_modulus(cfg: dict) -> int:
     f = _resolve_polynomial(cfg["polynomial"])
     run = _Run(cfg)
     (s,) = _sample(run, cfg, [(f, cfg["seed"])])
-    # samples.bin is written after the checks, so that a failed run leaves no
-    # directory, and in draw order: s stays unsorted and the histogram reads
-    # the sorted copy
     with run.stage("histogram"):
+        s.sort()  # nothing reads the draw order
         rho = histogram_density(s, cfg["grid"])
     params = _envelope_params(f)
     with run.stage("checks"):

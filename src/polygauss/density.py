@@ -48,10 +48,10 @@ A ``SampleSet`` sorts its values at most once.  The grid's tail quantiles
 are read from that sort by rank, the histogram's cell counts are
 differences of the positions of the cell edges in it, and the empirical
 CDF and the empirical characteristic function (``charfn.ecf_modulus``) use
-the same sorted array.  None of them reads draw order, so a set whose draw
-order is no longer needed is sorted in its own buffer (``SampleSet.sort``)
-and holds its law in one array of 8 bytes a sample; ``SampleSet.sorted``
-sorts a copy only for a set whose draw order must outlast the estimators.
+the same sorted array.  None of them reads draw order, so every command
+sorts each law in its own buffer (``SampleSet.sort``) once its draw is read:
+a law is one array of 8 bytes a sample.  ``SampleSet.sorted`` sorts a copy
+only for a library caller's set still in draw order.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class SampleSet:
     """I.i.d. realizations of f(X) with seed provenance.
 
     ``values`` is read-only and in draw order until ``sort`` sorts it in its
-    own buffer; ``sorted`` copies it only for a set whose draw order must
-    outlast the estimators (``modulus`` saves it after its checks).
+    own buffer, as every command does once the draw order is read;
+    ``sorted`` copies it only for a set still in draw order.
     """
 
     values: np.ndarray

@@ -104,9 +104,11 @@ def test_modulus_command_files_and_rerun(tmp_path):
     out2 = tmp_path / "m2"
     assert run(args + ["--out", str(out2)]) == 0
     assert read_outputs(out1) == read_outputs(out2)
-    # the raw little-endian float64 samples and their JSON sidecar
+    # the raw little-endian float64 samples, in ascending order as the
+    # estimators read them, and their JSON sidecar
     values = np.fromfile(out1 / "samples.bin", dtype="<f8")
-    assert np.array_equal(values, pg.sample(monomial(2, (1, 1)), 200_000, 11).values)
+    drawn = pg.sample(monomial(2, (1, 1)), 200_000, 11).values
+    assert values.tobytes() == np.sort(drawn).tobytes()
     assert json.loads((out1 / "samples.bin.json").read_text()) == {
         "seed": 11, "N": 200_000, "polynomial": json.loads(X1X2),
     }
@@ -348,6 +350,10 @@ def test_class_too_large_exits_3_before_sampling(tmp_path, capsys, monkeypatch):
     (["distance", "--poly", X1X2, "--poly-b", X1SQ, "--samples", "1000"], 3),
     (["modulus", "--poly", '{"n": 1, "terms": [{"exp": [2], "coef": 1e-320}, '
       '{"exp": [1], "coef": 1.0}]}', "--samples", "20000", "--grid", "64"], 3),
+    # below variance's 10^4-sample floor: at N <= 2 its SE is 0 on every law
+    (["variance", "--poly", X1X2, "--samples", "1"], 3),
+    (["variance", "--poly", X1X2, "--samples", "2"], 3),
+    (["variance", "--poly", X1X2, "--samples", "9999"], 3),
 ])
 @pytest.mark.filterwarnings("error")  # a warning would be a second line of stderr
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code):

@@ -303,6 +303,14 @@ def test_cf_holds_one_array_of_samples(capsys):
     assert peak < 1.75 * 8 * n
 
 
+def test_modulus_holds_one_array_of_samples(capsys):
+    # the law is sorted in its draw buffer, and samples.bin dumps that buffer
+    n = 1_000_000
+    peak = _cli_peak_bytes(["modulus", "--poly", dumps(Polynomial(2, {(1, 1): 1.0})),
+                            "--samples", str(n), "--grid", "2048", "--seed", "3"])
+    assert peak < 1.75 * 8 * n
+
+
 def test_verify_all_member_holds_two_arrays_of_samples(capsys):
     # f and g, g summed into the buffer of 0.1 x1, each sorted in its own buffer
     n = 1_000_000

@@ -18,7 +18,6 @@ a difference and 0 otherwise.  A run takes a few minutes on two cores.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -27,13 +26,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MANIFEST = "run_manifest.json"
 JSON_DIFFS_SHOWN = 10  # key paths printed per differing JSON file
 ABSENT = "<absent>"  # the value shown for a key one document lacks
 
 # The benchmark's modulus polynomials and the cf inputs of its indices 1-3
 # (sums of independent pieces); the cf sample seed is the index.
 sys.path.insert(0, str(ROOT / "perfbench"))
+from checks import data_digests  # noqa: E402
 from workloads import MODULUS_POLYS, cf_pieces, cf_polynomial  # noqa: E402
 
 CF_POLYS = {index: cf_polynomial(cf_pieces(index)) for index in (1, 2, 3)}
@@ -146,17 +145,6 @@ def invocations() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def data_files(outdir: Path) -> dict[str, str]:
-    """sha256 of every file a run wrote, but the manifest."""
-    if not outdir.is_dir():
-        return {}
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(outdir.iterdir())
-        if p.name != MANIFEST
-    }
-
-
 def json_differences(a, b, path: str = "") -> list[tuple[str, object, object]]:
     """(dotted key path, value in a, value in b) of every place where the JSON
     documents a and b differ; list items are keyed by their index."""
@@ -174,7 +162,7 @@ def json_differences(a, b, path: str = "") -> list[tuple[str, object, object]]:
 def print_json_differences(parent: Path, this: Path, parent_files: dict,
                            this_files: dict) -> None:
     """The first key paths that differ in each JSON file both runs wrote,
-    given the directories of the two runs and their ``data_files``."""
+    given the directories of the two runs and their ``data_digests``."""
     for name, digest in parent_files.items():
         if not name.endswith(".json") or this_files.get(name, digest) == digest:
             continue
@@ -221,7 +209,7 @@ def main(argv=None) -> int:
         for index, (label, _) in enumerate(runs):
             got = {
                 name: {**results[name][index],
-                       "files": data_files(Path(tmp) / name / str(index))}
+                       "files": data_digests(Path(tmp) / name / str(index))}
                 for name in trees
             }
             for key in ("code", "stdout", "stderr", "files"):
